@@ -240,10 +240,9 @@ func (st *runState) rankMain(r *par.Rank) {
 }
 
 // moveGrids advances every moving component to the next time level and
-// refreshes rank-local geometry. The shared world-frame coordinates are
-// written by the first rank of each grid; every rank then recomputes its
-// own local copies and metrics (replicated work, as in the MPI original
-// where each processor transforms its own subdomain).
+// refreshes rank-local geometry: each rank transforms its own subdomain of
+// the shared world-frame coordinates, then recomputes its local copies and
+// metrics, as in the MPI original.
 func (st *runState) moveGrids(r *par.Rank, step int) {
 	c := st.cfg.Case
 	t := float64(step+1) * st.dt
@@ -275,24 +274,22 @@ func (st *runState) moveGrids(r *par.Rank, step int) {
 		r.Barrier()
 	}
 
-	myGrid := st.plan.Parts[r.ID].Grid
-	// First rank of each grid applies the new placement to the shared
-	// world-frame coordinates.
-	for gi, g := range c.Sys.Grids {
-		if !isFirstRankOfGrid(st.plan, r.ID, gi) {
-			continue
+	// Every rank of a moving grid writes the new placement of its own
+	// subdomain into the shared world-frame coordinates (the subdomains
+	// cover the grid exactly and disjointly). The grid's first rank records
+	// the placement and carries the whole grid's modeled cost.
+	part := st.plan.Parts[r.ID]
+	g := c.Sys.Grids[part.Grid]
+	if xf, moving := st.transformAt(part.Grid, t); moving {
+		if isFirstRankOfGrid(st.plan, r.ID, part.Grid) {
+			g.Xform = xf
+			r.Compute(float64(g.NPoints()) * 12)
 		}
-		xf, moving := st.transformAt(gi, t)
-		if !moving {
-			continue
-		}
-		g.ApplyTransform(xf)
-		r.Compute(float64(g.NPoints()) * 12)
+		g.ApplyTransformBox(xf, part.Box)
 	}
 	r.Barrier()
 
 	// Every rank refreshes its local geometry (moving grids only).
-	g := c.Sys.Grids[myGrid]
 	if g.Moving {
 		b := st.blocks[r.ID]
 		b.RefreshGeometry(st.dt)

@@ -71,7 +71,11 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 	gi, box := s.myBox()
 	g := s.Cfg.Sys.Grids[gi]
 
-	s.cutHolesLocal(r, gi, box)
+	// The grids moved before this solve; nothing moves them during it, so
+	// the subdomain's bounds serve both the cutter rejection here and the
+	// global exchange below.
+	myBounds := g.BoundsOf(box)
+	s.cutHolesLocal(r, gi, box, myBounds)
 	s.markFringesLocal(r, g, gi, box)
 
 	// Collect my IGBPs. The row base i + NI*(j + NJ*k) is hoisted out of
@@ -106,7 +110,6 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 	}
 
 	// Global bounding-box exchange ("broadcast globally at the beginning").
-	myBounds := g.BoundsOf(box)
 	r.Compute(float64(box.Count()) * 2)
 	raw := r.AllGather(myBounds, 48)
 	if cap(s.rankBounds) < len(raw) {
@@ -536,10 +539,13 @@ func nearestStartInBox(g *grid.Grid, box grid.IBox, pos geom.Vec3) [3]int {
 }
 
 // cutHolesLocal performs distributed hole cutting over this rank's points.
-func (s *Solver) cutHolesLocal(r *par.Rank, gi int, box grid.IBox) {
+// bounds is the world-frame bounding box of those points.
+func (s *Solver) cutHolesLocal(r *par.Rank, gi int, box grid.IBox, bounds geom.Box) {
 	g := s.Cfg.Sys.Grids[gi]
-	// Rank 0 updates cutter transforms and hole maps once (every processor
-	// holds a copy in the MPI original; the cost is charged to all).
+	// Rank 0 updates cutter transforms and re-places the hole-map lattices
+	// once; every rank then classifies the cells its own points fall in.
+	// The charge below is the eager lattice build the 1997 code performs on
+	// every processor's own copy.
 	if r.ID == 0 {
 		for _, bc := range s.Cfg.Cutters {
 			if bc.FollowGrid >= 0 {
@@ -571,6 +577,10 @@ func (s *Solver) cutHolesLocal(r *par.Rank, gi int, box grid.IBox) {
 			continue
 		}
 		cb := bc.Cutter.Bounds()
+		if !cb.Overlaps(bounds) {
+			// No point of this subdomain passes cb.Contains below.
+			continue
+		}
 		inside := bc.Cutter.Inside
 		direct := true
 		if hm := bc.HoleMap(); hm != nil {
@@ -617,26 +627,12 @@ func (s *Solver) markFringesLocal(r *par.Rank, g *grid.Grid, gi int, box grid.IB
 	marked := 0
 	ib := g.IBlank
 	for layer := 0; layer < depth; layer++ {
-		marks := s.marks[:0]
-		for k := box.KLo; k <= box.KHi; k++ {
-			for j := box.JLo; j <= box.JHi; j++ {
-				row := g.NI * (j + g.NJ*k)
-				for i := box.ILo; i <= box.IHi; i++ {
-					if ib[row+i] != grid.IBField {
-						continue
-					}
-					if overset.AdjacentToNonField(g, i, j, k, layer) {
-						marks = append(marks, row+i)
-					}
-				}
-			}
-		}
-		s.marks = marks
+		s.marks = overset.AppendFringeLayer(s.marks[:0], g, box, layer)
 		r.Barrier() // reads done everywhere before writes land
-		for _, n := range marks {
+		for _, n := range s.marks {
 			ib[n] = grid.IBFringe
 		}
-		marked += len(marks)
+		marked += len(s.marks)
 		r.Barrier()
 	}
 	for f := grid.IMin; f <= grid.KMax; f++ {

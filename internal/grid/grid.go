@@ -160,18 +160,31 @@ func (g *Grid) AtBody(i, j, k int) geom.Vec3 {
 // Non-moving grids keep their identity placement throughout a run.
 func (g *Grid) ApplyTransform(t geom.Transform) {
 	g.Xform = t
-	for n := range g.X0 {
-		p := t.Apply(geom.Vec3{X: g.X0[n], Y: g.Y0[n], Z: g.Z0[n]})
-		g.X[n], g.Y[n], g.Z[n] = p.X, p.Y, p.Z
+	g.ApplyTransformBox(t, g.Full())
+}
+
+// ApplyTransformBox writes the world-frame coordinates of the points in
+// index box ib under placement t, leaving Xform alone: ranks sharing a
+// moving grid each transform their own subdomain, and one of them records
+// the placement.
+func (g *Grid) ApplyTransformBox(t geom.Transform, ib IBox) {
+	for k := ib.KLo; k <= ib.KHi; k++ {
+		for j := ib.JLo; j <= ib.JHi; j++ {
+			row := g.NI * (j + g.NJ*k)
+			for n := row + ib.ILo; n <= row+ib.IHi; n++ {
+				p := t.Apply(geom.Vec3{X: g.X0[n], Y: g.Y0[n], Z: g.Z0[n]})
+				g.X[n], g.Y[n], g.Z[n] = p.X, p.Y, p.Z
+			}
+		}
 	}
 }
 
 // Bounds returns the world-frame bounding box of all points.
 func (g *Grid) Bounds() geom.Box {
 	b := geom.EmptyBox()
-	for n := range g.X {
-		b = b.Extend(geom.Vec3{X: g.X[n], Y: g.Y[n], Z: g.Z[n]})
-	}
+	b.Min.X, b.Max.X = extendRange(b.Min.X, b.Max.X, g.X)
+	b.Min.Y, b.Max.Y = extendRange(b.Min.Y, b.Max.Y, g.Y)
+	b.Min.Z, b.Max.Z = extendRange(b.Min.Z, b.Max.Z, g.Z)
 	return b
 }
 
@@ -180,12 +193,30 @@ func (g *Grid) BoundsOf(ib IBox) geom.Box {
 	b := geom.EmptyBox()
 	for k := ib.KLo; k <= ib.KHi; k++ {
 		for j := ib.JLo; j <= ib.JHi; j++ {
-			for i := ib.ILo; i <= ib.IHi; i++ {
-				b = b.Extend(g.At(i, j, k))
+			row := g.NI * (j + g.NJ*k)
+			lo, hi := row+ib.ILo, row+ib.IHi+1
+			if lo >= hi {
+				continue
 			}
+			b.Min.X, b.Max.X = extendRange(b.Min.X, b.Max.X, g.X[lo:hi])
+			b.Min.Y, b.Max.Y = extendRange(b.Min.Y, b.Max.Y, g.Y[lo:hi])
+			b.Min.Z, b.Max.Z = extendRange(b.Min.Z, b.Max.Z, g.Z[lo:hi])
 		}
 	}
 	return b
+}
+
+// extendRange widens [lo, hi] to cover every value of s. The min and max
+// builtins order signed zeros and propagate NaN as math.Min and math.Max
+// do, so the result matches geom.Box.Extend applied point by point (they
+// part ways only where a NaN meets an infinity, which math.Min and
+// math.Max resolve to the infinity).
+func extendRange(lo, hi float64, s []float64) (float64, float64) {
+	for _, v := range s {
+		lo = min(lo, v)
+		hi = max(hi, v)
+	}
+	return lo, hi
 }
 
 // Full returns the index box covering the whole grid.

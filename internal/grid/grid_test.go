@@ -249,3 +249,95 @@ func TestPeriodicI(t *testing.T) {
 		t.Error("PeriodicI should be true")
 	}
 }
+
+// scrambled fills a grid's body frame with values that exercise the
+// min/max corner cases: both zeros, repeats and large magnitudes.
+func scrambled(ni, nj, nk int) *Grid {
+	g := New(0, "t", ni, nj, nk)
+	vals := []float64{0, math.Copysign(0, -1), 1.5, -1.5, 1e300, -1e-300, 3, 3}
+	for n := range g.X0 {
+		g.X0[n] = vals[(n*7+1)%len(vals)]
+		g.Y0[n] = vals[(n*5+2)%len(vals)]
+		g.Z0[n] = vals[(n*3)%len(vals)]
+	}
+	copy(g.X, g.X0)
+	copy(g.Y, g.Y0)
+	copy(g.Z, g.Z0)
+	return g
+}
+
+// sameBits compares coordinates bit for bit (so -0 differs from +0); NaNs
+// match each other whatever their payload.
+func sameBits(a, b geom.Vec3) bool {
+	eq := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	return eq(a.X, b.X) && eq(a.Y, b.Y) && eq(a.Z, b.Z)
+}
+
+// TestBoundsMatchExtendReference holds the row-wise min/max loops of Bounds
+// and BoundsOf to the point-by-point Box.Extend form they replaced, bit for
+// bit, signed zeros and a NaN included.
+func TestBoundsMatchExtendReference(t *testing.T) {
+	g := scrambled(5, 4, 3)
+	ref := func(ib IBox) geom.Box {
+		b := geom.EmptyBox()
+		for k := ib.KLo; k <= ib.KHi; k++ {
+			for j := ib.JLo; j <= ib.JHi; j++ {
+				for i := ib.ILo; i <= ib.IHi; i++ {
+					b = b.Extend(g.At(i, j, k))
+				}
+			}
+		}
+		return b
+	}
+	check := func(name string, got, want geom.Box) {
+		t.Helper()
+		if !sameBits(got.Min, want.Min) || !sameBits(got.Max, want.Max) {
+			t.Errorf("%s = %+v, Extend reference %+v", name, got, want)
+		}
+	}
+	boxes := []IBox{
+		g.Full(),
+		{1, 3, 1, 2, 0, 1},
+		{2, 2, 3, 3, 1, 1}, // one point
+		{0, 0, 0, 0, 0, 0}, // the point holding -0
+		{3, 2, 0, 3, 0, 2}, // empty in i
+		{0, 4, 2, 1, 0, 2}, // empty in j
+	}
+	for _, ib := range boxes {
+		check("BoundsOf("+ib.String()+")", g.BoundsOf(ib), ref(ib))
+	}
+	check("Bounds", g.Bounds(), ref(g.Full()))
+	if !g.BoundsOf(IBox{3, 2, 0, 3, 0, 2}).IsEmpty() {
+		t.Error("BoundsOf an empty box is not empty")
+	}
+	g.Y[g.Idx(2, 1, 1)] = math.NaN()
+	check("Bounds with NaN", g.Bounds(), ref(g.Full()))
+	check("BoundsOf with NaN", g.BoundsOf(IBox{1, 3, 1, 2, 0, 1}), ref(IBox{1, 3, 1, 2, 0, 1}))
+}
+
+// TestApplyTransformBoxCoverEqualsWhole moves a grid subdomain by subdomain
+// over disjoint covers and requires the coordinates ApplyTransform writes.
+func TestApplyTransformBoxCoverEqualsWhole(t *testing.T) {
+	xf := geom.Transform{R: geom.RotZ(0.3).Mul(geom.RotX(-0.7)), T: geom.Vec3{X: 0.25, Y: -3, Z: 1e-3}}
+	whole := scrambled(7, 5, 4)
+	whole.ApplyTransform(xf)
+	for dim := 0; dim < 3; dim++ {
+		g := scrambled(7, 5, 4)
+		for _, half := range g.Full().SplitDim(dim, 2) {
+			for _, part := range half.SplitDim((dim+1)%3, 3) {
+				g.ApplyTransformBox(xf, part)
+			}
+		}
+		if g.Xform != geom.IdentityTransform() {
+			t.Fatal("ApplyTransformBox changed Xform")
+		}
+		for n := range whole.X {
+			if !sameBits(geom.Vec3{X: g.X[n], Y: g.Y[n], Z: g.Z[n]},
+				geom.Vec3{X: whole.X[n], Y: whole.Y[n], Z: whole.Z[n]}) {
+				t.Fatalf("split along %d: point %d differs from ApplyTransform", dim, n)
+			}
+		}
+	}
+}

@@ -16,6 +16,9 @@ type BodyCutter struct {
 	FollowGrid int
 	// holeMap accelerates queries; rebuilt when the transform changes.
 	holeMap *HoleMap
+	// mapXf is the followed grid's placement the hole map was last rebuilt
+	// for (the zero Transform for a static body).
+	mapXf geom.Transform
 }
 
 // Owns reports whether grid gi belongs to this cutter's own body (and is
@@ -77,19 +80,31 @@ type Config struct {
 // RebuildHoleMaps refreshes every cutter's hole-map acceleration for the
 // current transforms (no-op when HoleMapRes is 0).
 func (c *Config) RebuildHoleMaps() {
+	for _, bc := range c.Cutters {
+		c.refreshHoleMap(bc)
+	}
+}
+
+// refreshHoleMap brings bc's hole map in line with HoleMapRes and the
+// cutter's placement. A cutter moves only by following its grid, so a map
+// whose grid has not moved since the last rebuild (or that follows none)
+// keeps the classifications it has memoised.
+func (c *Config) refreshHoleMap(bc *BodyCutter) {
 	if c.HoleMapRes <= 0 {
-		for _, bc := range c.Cutters {
-			bc.holeMap = nil
-		}
+		bc.holeMap = nil
 		return
 	}
-	for _, bc := range c.Cutters {
-		if bc.holeMap == nil {
-			bc.holeMap = NewHoleMap(bc.Cutter, c.HoleMapRes)
-		} else {
-			bc.holeMap.Rebuild(c.HoleMapRes)
-		}
+	var xf geom.Transform
+	if bc.FollowGrid >= 0 {
+		xf = c.Sys.Grids[bc.FollowGrid].Xform
 	}
+	switch {
+	case bc.holeMap == nil:
+		bc.holeMap = NewHoleMap(bc.Cutter, c.HoleMapRes)
+	case bc.holeMap.nx != c.HoleMapRes || xf != bc.mapXf:
+		bc.holeMap.Rebuild(c.HoleMapRes)
+	}
+	bc.mapXf = xf
 }
 
 // RefreshBounds recomputes the cached per-grid bounding boxes. Call after
@@ -123,15 +138,7 @@ func (c *Config) CutHoles() int {
 		if bc.FollowGrid >= 0 {
 			bc.Cutter.SetTransform(c.Sys.Grids[bc.FollowGrid].Xform)
 		}
-		if c.HoleMapRes > 0 {
-			if bc.holeMap == nil {
-				bc.holeMap = NewHoleMap(bc.Cutter, c.HoleMapRes)
-			} else {
-				bc.holeMap.Rebuild(c.HoleMapRes)
-			}
-		} else {
-			bc.holeMap = nil
-		}
+		c.refreshHoleMap(bc)
 	}
 	c.RefreshBounds()
 	for gi, g := range c.Sys.Grids {
@@ -178,23 +185,11 @@ func (c *Config) MarkFringes() {
 	if depth < 1 {
 		depth = 2
 	}
+	var marks []int
 	for _, g := range c.Sys.Grids {
 		// Hole fringes, layer by layer.
 		for layer := 0; layer < depth; layer++ {
-			var marks []int
-			for k := 0; k < g.NK; k++ {
-				for j := 0; j < g.NJ; j++ {
-					for i := 0; i < g.NI; i++ {
-						n := g.Idx(i, j, k)
-						if g.IBlank[n] != grid.IBField {
-							continue
-						}
-						if AdjacentToNonField(g, i, j, k, layer) {
-							marks = append(marks, n)
-						}
-					}
-				}
-			}
+			marks = AppendFringeLayer(marks[:0], g, g.Full(), layer)
 			for _, n := range marks {
 				g.IBlank[n] = grid.IBFringe
 			}
@@ -209,30 +204,77 @@ func (c *Config) MarkFringes() {
 	}
 }
 
-// AdjacentToNonField reports whether (i,j,k) neighbors a hole (layer 0) or
-// a fringe (subsequent layers) across the six index directions. Exported so
-// the distributed implementation can mark fringes over per-rank subdomains.
-func AdjacentToNonField(g *grid.Grid, i, j, k, layer int) bool {
-	var want int8 = grid.IBHole
+// AppendFringeLayer appends to marks the IBlank offsets of the field points
+// in box that neighbor a hole (layer 0) or a fringe (later layers) across
+// the six index directions, and returns the extended slice. It only reads
+// IBlank: the caller writes the marks once every reader of the layer is
+// done. The i direction wraps on a periodic O-grid.
+func AppendFringeLayer(marks []int, g *grid.Grid, box grid.IBox, layer int) []int {
+	want := grid.IBHole
 	if layer > 0 {
 		want = grid.IBFringe
 	}
-	check := func(ii, jj, kk int) bool {
-		if g.PeriodicI() {
-			ii = ((ii % g.NI) + g.NI) % g.NI
+	ni, nj, nk := g.NI, g.NJ, g.NK
+	sj, sk := ni, ni*nj
+	ib := g.IBlank
+	// A neighbor that does not exist is replaced by the tested point itself:
+	// that point is a field point, so it never equals want. This turns every
+	// edge case into a choice of row or column made outside the i loop.
+	iminNbr, imaxNbr := 0, ni-1
+	if g.PeriodicI() {
+		iminNbr, imaxNbr = ni-1, 0
+	}
+	for k := box.KLo; k <= box.KHi; k++ {
+		for j := box.JLo; j <= box.JHi; j++ {
+			row := sj*j + sk*k
+			c := ib[row : row+ni]
+			jm, jp, km, kp := c, c, c, c
+			if j > 0 {
+				jm = ib[row-sj : row-sj+ni]
+			}
+			if j < nj-1 {
+				jp = ib[row+sj : row+sj+ni]
+			}
+			if k > 0 {
+				km = ib[row-sk : row-sk+ni]
+			}
+			if k < nk-1 {
+				kp = ib[row+sk : row+sk+ni]
+			}
+			rows := fringeRows{c, jm, jp, km, kp}
+			lo, hi := box.ILo, box.IHi
+			if lo == 0 && hi >= 0 {
+				if c[0] == grid.IBField && rows.near(want, 0, iminNbr, min(1, ni-1)) {
+					marks = append(marks, row)
+				}
+				lo = 1
+			}
+			last := hi == ni-1 && ni > 1
+			if last {
+				hi = ni - 2
+			}
+			for i := lo; i <= hi; i++ {
+				if c[i] == grid.IBField && rows.near(want, i, i-1, i+1) {
+					marks = append(marks, row+i)
+				}
+			}
+			if last && c[ni-1] == grid.IBField && rows.near(want, ni-1, ni-2, imaxNbr) {
+				marks = append(marks, row+ni-1)
+			}
 		}
-		if ii < 0 || ii >= g.NI || jj < 0 || jj >= g.NJ || kk < 0 || kk >= g.NK {
-			return false
-		}
-		return g.IBlank[g.Idx(ii, jj, kk)] == want
 	}
-	if check(i-1, j, k) || check(i+1, j, k) || check(i, j-1, k) || check(i, j+1, k) {
-		return true
-	}
-	if g.NK > 1 && (check(i, j, k-1) || check(i, j, k+1)) {
-		return true
-	}
-	return false
+	return marks
+}
+
+// fringeRows holds the IBlank row of the points under test and the four
+// rows holding their j and k neighbors.
+type fringeRows struct{ c, jm, jp, km, kp []int8 }
+
+// near reports whether any of point i's six neighbors holds want; il and ir
+// index its i neighbors in the point's own row.
+func (r *fringeRows) near(want int8, i, il, ir int) bool {
+	return r.c[il] == want || r.c[ir] == want || r.jm[i] == want ||
+		r.jp[i] == want || r.km[i] == want || r.kp[i] == want
 }
 
 // markFaceFringe marks `depth` point layers at grid face f as fringes.

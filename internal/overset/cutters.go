@@ -68,13 +68,23 @@ func (c *AirfoilCutter) Bounds() geom.Box {
 type RevolvedCutter struct {
 	Profile gridgen.Profile
 	Margin  float64
-	xf      geom.Transform
-	inv     geom.Transform
+	// rmax is the largest sampled profile radius plus the margin; Profile
+	// and Margin do not change after NewRevolvedCutter.
+	rmax float64
+	xf   geom.Transform
+	inv  geom.Transform
 }
 
 // NewRevolvedCutter returns a cutter for the given body of revolution.
 func NewRevolvedCutter(p gridgen.Profile, margin float64) *RevolvedCutter {
-	return &RevolvedCutter{Profile: p, Margin: margin, xf: geom.IdentityTransform(), inv: geom.IdentityTransform()}
+	rmax := 0.0
+	for i := 0; i <= 20; i++ {
+		if r := p.Radius(float64(i) / 20); r > rmax {
+			rmax = r
+		}
+	}
+	return &RevolvedCutter{Profile: p, Margin: margin, rmax: rmax + margin,
+		xf: geom.IdentityTransform(), inv: geom.IdentityTransform()}
 }
 
 // SetTransform implements Cutter.
@@ -102,16 +112,9 @@ func (c *RevolvedCutter) Inside(p geom.Vec3) bool {
 
 // Bounds implements Cutter.
 func (c *RevolvedCutter) Bounds() geom.Box {
-	rmax := 0.0
-	for i := 0; i <= 20; i++ {
-		if r := c.Profile.Radius(float64(i) / 20); r > rmax {
-			rmax = r
-		}
-	}
-	rmax += c.Margin
 	body := geom.Box{
-		Min: geom.Vec3{X: -c.Margin, Y: -rmax, Z: -rmax},
-		Max: geom.Vec3{X: c.Profile.Length + c.Margin, Y: rmax, Z: rmax},
+		Min: geom.Vec3{X: -c.Margin, Y: -c.rmax, Z: -c.rmax},
+		Max: geom.Vec3{X: c.Profile.Length + c.Margin, Y: c.rmax, Z: c.rmax},
 	}
 	return c.xf.ApplyBox(body)
 }

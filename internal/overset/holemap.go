@@ -1,6 +1,8 @@
 package overset
 
 import (
+	"sync/atomic"
+
 	"overd/internal/geom"
 )
 
@@ -8,23 +10,64 @@ import (
 // Cartesian lattice over its bounding box, the technique DCF3D uses to make
 // hole cutting cheap: cells fully inside or fully outside answer in O(1);
 // only boundary ("mixed") cells fall back to the analytic test.
+//
+// Cells are classified on demand. A solve queries a small fraction of the
+// lattice (the cells some foreign grid point falls in), so Rebuild only
+// places the lattice and forgets the old classifications; the first query
+// landing in a cell probes the cutter and memoises the answer.
 type HoleMap struct {
 	cutter     Cutter
 	origin     geom.Vec3
 	delta      geom.Vec3
 	nx, ny, nz int
-	// state: 0 = outside, 1 = inside, 2 = mixed
-	state []uint8
-	// corner is the Rebuild scratch: one inside/outside sample per lattice
-	// corner, shared by the up-to-eight cells touching it.
-	corner []uint8
+	// cell and corner memoise classifications, two bits per entry (zero is
+	// "not classified yet"), sixteen entries to a word. A corner sample is
+	// shared by the up-to-eight cells touching it. Entries only ever go from
+	// zero to the value the cutter's placement determines, so concurrent
+	// first touches of the same entry store equal values.
+	cell   []atomic.Uint32
+	corner []atomic.Uint32
 	// Queries and fallbacks are counted for the ablation bench.
 	Queries   int
 	Fallbacks int
 }
 
-// NewHoleMap samples the cutter onto an n³-ish lattice (n per axis derived
-// from res). Rebuild after the cutter's transform changes.
+// Memoised classifications; corners use only the first two.
+const (
+	memoOutside = 1
+	memoInside  = 2
+	memoMixed   = 3
+)
+
+func memoGet(w []atomic.Uint32, n int) uint32 {
+	return w[n>>4].Load() >> (uint(n&15) * 2) & 3
+}
+
+func memoSet(w []atomic.Uint32, n int, v uint32) {
+	a, sh := &w[n>>4], uint(n&15)*2
+	for {
+		old := a.Load()
+		if old>>sh&3 != 0 || a.CompareAndSwap(old, old|v<<sh) {
+			return
+		}
+	}
+}
+
+// memoReset returns a zeroed memo of n entries, reusing w's storage.
+func memoReset(w []atomic.Uint32, n int) []atomic.Uint32 {
+	words := (n + 15) / 16
+	if cap(w) < words {
+		return make([]atomic.Uint32, words)
+	}
+	w = w[:words]
+	for i := range w {
+		w[i].Store(0)
+	}
+	return w
+}
+
+// NewHoleMap lays an n³-ish lattice (n per axis derived from res) over the
+// cutter. Rebuild after the cutter's transform changes.
 func NewHoleMap(c Cutter, res int) *HoleMap {
 	if res < 2 {
 		res = 2
@@ -34,13 +77,9 @@ func NewHoleMap(c Cutter, res int) *HoleMap {
 	return hm
 }
 
-// Rebuild resamples the lattice from the cutter's current placement. Each
-// cell's state comes from its eight corners plus its center; corners are
-// shared by up to eight cells, so the corner lattice is probed once
-// ((res+1)³ probes) instead of eight times per cell, cutting analytic
-// cutter evaluations ~4x. The probe coordinates are identical to the naive
-// per-cell form: float64(i)+1 == float64(i+1) exactly. Buffers are reused
-// across Rebuilds (every element is overwritten).
+// Rebuild places the lattice over the cutter's current bounds and drops
+// every memoised classification. It must not run concurrently with queries;
+// buffers are reused across Rebuilds.
 func (hm *HoleMap) Rebuild(res int) {
 	raw := hm.cutter.Bounds()
 	// Inflate proportionally so degenerate (flat) boxes keep positive cell
@@ -50,99 +89,100 @@ func (hm *HoleMap) Rebuild(res int) {
 	size := b.Size()
 	hm.nx, hm.ny, hm.nz = res, res, res
 	hm.delta = geom.Vec3{X: size.X / float64(res), Y: size.Y / float64(res), Z: size.Z / float64(res)}
-	if n := res * res * res; cap(hm.state) >= n {
-		hm.state = hm.state[:n]
-	} else {
-		hm.state = make([]uint8, n)
-	}
-	cres := res + 1
-	if n := cres * cres * cres; cap(hm.corner) >= n {
-		hm.corner = hm.corner[:n]
-	} else {
-		hm.corner = make([]uint8, n)
-	}
-	ox, oy, oz := hm.origin.X, hm.origin.Y, hm.origin.Z
-	dx, dy, dz := hm.delta.X, hm.delta.Y, hm.delta.Z
-	corner := hm.corner
-	for k := 0; k < cres; k++ {
-		z := oz + float64(k)*dz
-		for j := 0; j < cres; j++ {
-			y := oy + float64(j)*dy
-			row := cres * (j + cres*k)
-			for i := 0; i < cres; i++ {
-				var in uint8
-				if hm.cutter.Inside(geom.Vec3{X: ox + float64(i)*dx, Y: y, Z: z}) {
-					in = 1
-				}
-				corner[row+i] = in
-			}
-		}
-	}
-	for k := 0; k < res; k++ {
-		zc := oz + (float64(k)+0.5)*dz
-		for j := 0; j < res; j++ {
-			yc := oy + (float64(j)+0.5)*dy
-			row00 := cres * (j + cres*k)
-			row10 := cres * (j + 1 + cres*k)
-			row01 := cres * (j + cres*(k+1))
-			row11 := cres * (j + 1 + cres*(k+1))
-			srow := res * (j + res*k)
-			for i := 0; i < res; i++ {
-				inside := int(corner[row00+i]) + int(corner[row00+i+1]) +
-					int(corner[row10+i]) + int(corner[row10+i+1]) +
-					int(corner[row01+i]) + int(corner[row01+i+1]) +
-					int(corner[row11+i]) + int(corner[row11+i+1])
-				if hm.cutter.Inside(geom.Vec3{X: ox + (float64(i)+0.5)*dx, Y: yc, Z: zc}) {
+	hm.cell = memoReset(hm.cell, res*res*res)
+	hm.corner = memoReset(hm.corner, (res+1)*(res+1)*(res+1))
+}
+
+// classify computes cell (i,j,k)'s state from its eight corners plus its
+// center: inside or outside when all nine samples agree, mixed otherwise.
+// Corner (i+1) sits at float64(i+1)*delta, which equals the cell-relative
+// (float64(i)+1)*delta exactly.
+func (hm *HoleMap) classify(i, j, k int) uint32 {
+	inside := 0
+	for dk := 0; dk <= 1; dk++ {
+		for dj := 0; dj <= 1; dj++ {
+			for di := 0; di <= 1; di++ {
+				if hm.cornerInside(i+di, j+dj, k+dk) {
 					inside++
 				}
-				st := uint8(2)
-				if inside == 9 {
-					st = 1
-				} else if inside == 0 {
-					st = 0
-				}
-				hm.state[srow+i] = st
 			}
 		}
 	}
+	if hm.cutter.Inside(geom.Vec3{
+		X: hm.origin.X + (float64(i)+0.5)*hm.delta.X,
+		Y: hm.origin.Y + (float64(j)+0.5)*hm.delta.Y,
+		Z: hm.origin.Z + (float64(k)+0.5)*hm.delta.Z,
+	}) {
+		inside++
+	}
+	switch inside {
+	case 9:
+		return memoInside
+	case 0:
+		return memoOutside
+	}
+	return memoMixed
 }
 
-// Inside answers the hole query through the map, falling back to the
-// analytic cutter only in mixed cells.
+// cornerInside samples the cutter at lattice corner (i,j,k), once.
+func (hm *HoleMap) cornerInside(i, j, k int) bool {
+	n := i + (hm.nx+1)*(j+(hm.ny+1)*k)
+	st := memoGet(hm.corner, n)
+	if st == 0 {
+		st = memoOutside
+		if hm.cutter.Inside(geom.Vec3{
+			X: hm.origin.X + float64(i)*hm.delta.X,
+			Y: hm.origin.Y + float64(j)*hm.delta.Y,
+			Z: hm.origin.Z + float64(k)*hm.delta.Z,
+		}) {
+			st = memoInside
+		}
+		memoSet(hm.corner, n, st)
+	}
+	return st == memoInside
+}
+
+// lookup answers the hole query through the map, falling back to the
+// analytic cutter only in mixed cells (reported as fellBack).
+func (hm *HoleMap) lookup(p geom.Vec3) (inside, fellBack bool) {
+	i := int((p.X - hm.origin.X) / hm.delta.X)
+	j := int((p.Y - hm.origin.Y) / hm.delta.Y)
+	k := int((p.Z - hm.origin.Z) / hm.delta.Z)
+	if i < 0 || i >= hm.nx || j < 0 || j >= hm.ny || k < 0 || k >= hm.nz {
+		return false, false
+	}
+	n := i + hm.nx*(j+hm.ny*k)
+	st := memoGet(hm.cell, n)
+	if st == 0 {
+		st = hm.classify(i, j, k)
+		memoSet(hm.cell, n, st)
+	}
+	switch st {
+	case memoOutside:
+		return false, false
+	case memoInside:
+		return true, false
+	}
+	return hm.cutter.Inside(p), true
+}
+
+// Inside answers like InsideQuiet and counts the query; the counters make
+// it single-goroutine only.
 func (hm *HoleMap) Inside(p geom.Vec3) bool {
 	hm.Queries++
-	i := int((p.X - hm.origin.X) / hm.delta.X)
-	j := int((p.Y - hm.origin.Y) / hm.delta.Y)
-	k := int((p.Z - hm.origin.Z) / hm.delta.Z)
-	if i < 0 || i >= hm.nx || j < 0 || j >= hm.ny || k < 0 || k >= hm.nz {
-		return false
+	inside, fellBack := hm.lookup(p)
+	if fellBack {
+		hm.Fallbacks++
 	}
-	switch hm.state[i+hm.nx*(j+hm.ny*k)] {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	hm.Fallbacks++
-	return hm.cutter.Inside(p)
+	return inside
 }
 
-// InsideQuiet answers like Inside without updating the query counters,
-// making it safe for concurrent use by many ranks once the map is built.
+// InsideQuiet answers the hole query without touching the counters. Any
+// number of ranks may call it concurrently between Rebuilds, including for
+// cells no one has classified yet.
 func (hm *HoleMap) InsideQuiet(p geom.Vec3) bool {
-	i := int((p.X - hm.origin.X) / hm.delta.X)
-	j := int((p.Y - hm.origin.Y) / hm.delta.Y)
-	k := int((p.Z - hm.origin.Z) / hm.delta.Z)
-	if i < 0 || i >= hm.nx || j < 0 || j >= hm.ny || k < 0 || k >= hm.nz {
-		return false
-	}
-	switch hm.state[i+hm.nx*(j+hm.ny*k)] {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	return hm.cutter.Inside(p)
+	inside, _ := hm.lookup(p)
+	return inside
 }
 
 // Bounds returns the mapped region.

@@ -4,17 +4,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"overd/internal/geom"
+	"overd/internal/grid"
 	"overd/internal/gridgen"
 )
 
 // This file keeps naive copies of the fused connectivity kernels and
 // asserts bit-for-bit agreement: the single-pass trilinear position+partials
 // kernel against four independent trilerp evaluations (the old Newton inner
-// step), and the shared-corner-lattice hole-map rebuild against the old
-// nine-probes-per-cell form.
+// step), the on-demand hole-map classification against the old
+// nine-probes-per-cell form, and the fringe-marking row kernel against the
+// old per-point neighbor test.
 
 func cmpVec(t *testing.T, name string, got, want geom.Vec3) {
 	t.Helper()
@@ -63,8 +68,9 @@ func TestTrilinearKernelEquivalence(t *testing.T) {
 	}
 }
 
-// refRebuildStates is the old HoleMap.Rebuild: nine probes per cell, no
-// corner sharing. Returns the state lattice for the map's current placement.
+// refRebuildStates is the oldest HoleMap.Rebuild: nine probes per cell, no
+// corner sharing. Returns the state lattice (0 outside, 1 inside, 2 mixed)
+// for the map's current placement.
 func refRebuildStates(hm *HoleMap, res int) []uint8 {
 	state := make([]uint8, res*res*res)
 	for k := 0; k < res; k++ {
@@ -100,9 +106,60 @@ func refRebuildStates(hm *HoleMap, res int) []uint8 {
 	return state
 }
 
-// TestHoleMapRebuildEquivalence compares the corner-lattice rebuild against
-// the naive probe-per-cell form for several cutters and resolutions,
-// including after a transform (the moving-body path).
+// countingCutter counts analytic probes reaching the wrapped cutter.
+type countingCutter struct {
+	Cutter
+	probes atomic.Int64
+}
+
+func (c *countingCutter) Inside(p geom.Vec3) bool {
+	c.probes.Add(1)
+	return c.Cutter.Inside(p)
+}
+
+// checkHoleMapAgainstRef queries the center of every cell, in a different
+// shuffled order from each of 8 goroutines racing on first touch, and
+// requires the answer the eager classification implies: a uniform cell
+// answers from the map, a mixed cell falls back to the cutter.
+func checkHoleMapAgainstRef(t *testing.T, hm *HoleMap, res int) {
+	t.Helper()
+	want := refRebuildStates(hm, res)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			for _, n := range rand.New(rand.NewSource(seed)).Perm(len(want)) {
+				i, j, k := n%res, n/res%res, n/(res*res)
+				p := geom.Vec3{
+					X: hm.origin.X + (float64(i)+0.5)*hm.delta.X,
+					Y: hm.origin.Y + (float64(j)+0.5)*hm.delta.Y,
+					Z: hm.origin.Z + (float64(k)+0.5)*hm.delta.Z,
+				}
+				inside, fellBack := hm.lookup(p)
+				wantIn, wantFell := want[n] == 1, want[n] == 2
+				if wantFell {
+					wantIn = hm.cutter.Inside(p)
+				}
+				if inside != wantIn || fellBack != wantFell {
+					t.Errorf("cell (%d,%d,%d): lookup = (%v, fallback %v), reference state %d wants (%v, fallback %v)",
+						i, j, k, inside, fellBack, want[n], wantIn, wantFell)
+					return
+				}
+				if hm.InsideQuiet(p) != wantIn {
+					t.Errorf("cell (%d,%d,%d): InsideQuiet != %v", i, j, k, wantIn)
+					return
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+}
+
+// TestHoleMapRebuildEquivalence compares the on-demand classification
+// against the naive probe-per-cell form for every cutter type and several
+// resolutions: freshly built, rebuilt after a transform (the moving-body
+// path, into the reused memo), and rebuilt again at the same placement.
 func TestHoleMapRebuildEquivalence(t *testing.T) {
 	cutters := []struct {
 		name string
@@ -111,31 +168,226 @@ func TestHoleMapRebuildEquivalence(t *testing.T) {
 		{"airfoil", NewAirfoilCutter(0.02)},
 		{"revolved", NewRevolvedCutter(gridgen.OgiveProfile(3, 0.25), 0.05)},
 		{"ellipsoid", NewEllipsoidCutter(1, 0.4, 0.25, 0.03)},
+		{"box", NewBoxCutter(geom.Box{
+			Min: geom.Vec3{X: -0.5, Y: -0.2, Z: -0.1},
+			Max: geom.Vec3{X: 0.5, Y: 0.3, Z: 0.4}})},
 	}
 	for _, tc := range cutters {
 		for _, res := range []int{2, 7, 24} {
 			t.Run(fmt.Sprintf("%s/res%d", tc.name, res), func(t *testing.T) {
 				hm := NewHoleMap(tc.c, res)
-				want := refRebuildStates(hm, res)
-				for i, st := range hm.state {
-					if st != want[i] {
-						t.Fatalf("cell %d: fused state %d != reference %d", i, st, want[i])
-					}
-				}
-				// Move the body and rebuild into the reused buffers.
+				checkHoleMapAgainstRef(t, hm, res)
 				tc.c.SetTransform(geom.Transform{
 					R: geom.RotZ(0.2),
 					T: geom.Vec3{X: 0.3, Y: -0.1, Z: 0.05},
 				})
 				hm.Rebuild(res)
-				want = refRebuildStates(hm, res)
-				for i, st := range hm.state {
-					if st != want[i] {
-						t.Fatalf("after transform, cell %d: fused state %d != reference %d", i, st, want[i])
-					}
-				}
+				checkHoleMapAgainstRef(t, hm, res)
+				hm.Rebuild(res)
+				checkHoleMapAgainstRef(t, hm, res)
 				tc.c.SetTransform(geom.IdentityTransform())
 			})
+		}
+	}
+}
+
+// TestHoleMapProbesOnDemand pins the cost model: one query probes at most
+// its cell's nine samples, the whole lattice costs exactly the eager
+// rebuild's probes (each corner and each center once), and a classified
+// cell costs nothing but the mixed-cell fallback.
+func TestHoleMapProbesOnDemand(t *testing.T) {
+	const res = 12
+	cc := &countingCutter{Cutter: NewEllipsoidCutter(1, 0.4, 0.25, 0.03)}
+	hm := NewHoleMap(cc, res)
+	if n := cc.probes.Load(); n != 0 {
+		t.Fatalf("building the map probed the cutter %d times, want 0", n)
+	}
+	hm.Inside(hm.Bounds().Center())
+	if n := cc.probes.Load(); n > 9+1 {
+		t.Fatalf("first query probed the cutter %d times, want at most 9 and a fallback", n)
+	}
+	sweep := func() {
+		for k := 0; k < res; k++ {
+			for j := 0; j < res; j++ {
+				for i := 0; i < res; i++ {
+					hm.Inside(geom.Vec3{
+						X: hm.origin.X + (float64(i)+0.5)*hm.delta.X,
+						Y: hm.origin.Y + (float64(j)+0.5)*hm.delta.Y,
+						Z: hm.origin.Z + (float64(k)+0.5)*hm.delta.Z,
+					})
+				}
+			}
+		}
+	}
+	hm.Rebuild(res)
+	hm.Queries, hm.Fallbacks = 0, 0
+	cc.probes.Store(0)
+	sweep()
+	eager := int64(res*res*res + (res+1)*(res+1)*(res+1))
+	if hm.Queries != res*res*res || hm.Fallbacks == 0 {
+		t.Fatalf("Queries = %d, Fallbacks = %d after one sweep", hm.Queries, hm.Fallbacks)
+	}
+	if got := cc.probes.Load() - int64(hm.Fallbacks); got != eager {
+		t.Fatalf("classifying every cell took %d probes, eager rebuild takes %d", got, eager)
+	}
+	cc.probes.Store(0)
+	fallbacks := hm.Fallbacks
+	sweep()
+	if got, want := cc.probes.Load(), int64(hm.Fallbacks-fallbacks); got != want {
+		t.Fatalf("second sweep probed %d times, want only its %d fallbacks", got, want)
+	}
+}
+
+// TestHoleMapMemoFollowsPlacement checks when Config drops a map's memo: a
+// static body's map and a moving body's map whose grid stayed put keep
+// theirs, a moved grid's map is re-placed and reclassified.
+func TestHoleMapMemoFollowsPlacement(t *testing.T) {
+	g := gridgen.CartesianBox(0, "bg", 20, 20, 1,
+		geom.Box{Min: geom.Vec3{X: -2, Y: -2}, Max: geom.Vec3{X: 2, Y: 2}})
+	body := gridgen.Annulus(1, "body", 16, 4, 0, 0, 0.5, 1)
+	still := &countingCutter{Cutter: NewBoxCutter(geom.Box{
+		Min: geom.Vec3{X: -1.5, Y: -1.5, Z: -1}, Max: geom.Vec3{X: -1, Y: -1, Z: 1}})}
+	mover := &countingCutter{Cutter: NewEllipsoidCutter(0.5, 0.5, 1, 0)}
+	cfg := &Config{
+		Sys: &grid.System{Grids: []*grid.Grid{g, body}},
+		Cutters: []*BodyCutter{
+			{Cutter: still, FollowGrid: -1},
+			{Cutter: mover, OwnGrids: []int{1}, FollowGrid: 1},
+		},
+		Search: map[int][]int{}, FringeDepth: 1, HoleMapRes: 8,
+	}
+	cut := func() (holes int, stillProbes, moverProbes int64) {
+		still.probes.Store(0)
+		mover.probes.Store(0)
+		for _, bc := range cfg.Cutters {
+			if hm := bc.HoleMap(); hm != nil {
+				hm.Fallbacks = 0
+			}
+		}
+		cfg.CutHoles()
+		// Mixed-cell fallbacks are per query, not memoised.
+		return g.CountIBlank(grid.IBHole),
+			still.probes.Load() - int64(cfg.Cutters[0].HoleMap().Fallbacks),
+			mover.probes.Load() - int64(cfg.Cutters[1].HoleMap().Fallbacks)
+	}
+	holes0, s0, m0 := cut()
+	if holes0 == 0 || s0 == 0 || m0 == 0 {
+		t.Fatalf("first cut: %d holes, %d and %d classification probes", holes0, s0, m0)
+	}
+	holes1, s1, m1 := cut()
+	if holes1 != holes0 || s1 != 0 || m1 != 0 {
+		t.Fatalf("unmoved recut: %d holes (was %d), %d and %d classification probes, want 0",
+			holes1, holes0, s1, m1)
+	}
+	body.ApplyTransform(geom.Transform{R: geom.Identity3(), T: geom.Vec3{X: 0.7}})
+	_, s2, m2 := cut()
+	if s2 != 0 || m2 == 0 {
+		t.Fatalf("after the body moved: %d static and %d moving classification probes", s2, m2)
+	}
+	direct := &Config{Sys: cfg.Sys, Cutters: []*BodyCutter{
+		{Cutter: still.Cutter, FollowGrid: -1},
+		{Cutter: mover.Cutter, OwnGrids: []int{1}, FollowGrid: 1},
+	}, Search: map[int][]int{}}
+	mapped := append([]int8(nil), g.IBlank...)
+	direct.CutHoles()
+	for n := range mapped {
+		if mapped[n] != g.IBlank[n] {
+			t.Fatalf("point %d: mapped cut %d != direct cut %d after the move", n, mapped[n], g.IBlank[n])
+		}
+	}
+}
+
+// refAdjacentToNonField is the per-point fringe test AppendFringeLayer
+// replaced: (i,j,k) neighbors a hole (layer 0) or a fringe (later layers)
+// across the six index directions.
+func refAdjacentToNonField(g *grid.Grid, i, j, k, layer int) bool {
+	var want int8 = grid.IBHole
+	if layer > 0 {
+		want = grid.IBFringe
+	}
+	check := func(ii, jj, kk int) bool {
+		if g.PeriodicI() {
+			ii = ((ii % g.NI) + g.NI) % g.NI
+		}
+		if ii < 0 || ii >= g.NI || jj < 0 || jj >= g.NJ || kk < 0 || kk >= g.NK {
+			return false
+		}
+		return g.IBlank[g.Idx(ii, jj, kk)] == want
+	}
+	if check(i-1, j, k) || check(i+1, j, k) || check(i, j-1, k) || check(i, j+1, k) {
+		return true
+	}
+	if g.NK > 1 && (check(i, j, k-1) || check(i, j, k+1)) {
+		return true
+	}
+	return false
+}
+
+// TestFringeLayerKernelEquivalence compares the row kernel with the
+// per-point reference over random iblank fields on a periodic O-grid, a
+// 2-D grid, 3-D grids (periodic and not) and one-point-wide grids, for the
+// whole grid, an interior box, slabs touching each of the six faces and
+// one-point boxes, layers 0 and 1.
+func TestFringeLayerKernelEquivalence(t *testing.T) {
+	unit := geom.Box{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	grids := []*grid.Grid{
+		gridgen.Annulus(0, "ogrid", 24, 7, 0, 0, 1, 3),
+		gridgen.CartesianBox(1, "2d", 9, 8, 1, unit),
+		gridgen.CartesianBox(2, "3d", 7, 6, 5, unit),
+		gridgen.BodyOfRevolutionGrid(3, "3d-periodic", 8, 5, 6, gridgen.OgiveProfile(3, 0.25), 2),
+		grid.New(4, "column", 1, 4, 3),
+		grid.New(5, "pair", 2, 1, 1),
+	}
+	grids[5].BCs[grid.IMin], grids[5].BCs[grid.IMax] = grid.BCPeriodic, grid.BCPeriodic
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range grids {
+		full := g.Full()
+		boxes := []grid.IBox{full,
+			{ILo: 0, IHi: 0, JLo: 0, JHi: 0, KLo: 0, KHi: 0},
+			{ILo: g.NI - 1, IHi: g.NI - 1, JLo: g.NJ - 1, JHi: g.NJ - 1, KLo: g.NK - 1, KHi: g.NK - 1},
+			full.Intersect(grid.IBox{ILo: 1, IHi: g.NI - 2, JLo: 1, JHi: g.NJ - 2, KLo: 1, KHi: g.NK - 2}),
+		}
+		for f := grid.IMin; f <= grid.KMax; f++ {
+			slab := full
+			switch f {
+			case grid.IMin:
+				slab.IHi = min(1, g.NI-1)
+			case grid.IMax:
+				slab.ILo = max(g.NI-2, 0)
+			case grid.JMin:
+				slab.JHi = min(1, g.NJ-1)
+			case grid.JMax:
+				slab.JLo = max(g.NJ-2, 0)
+			case grid.KMin:
+				slab.KHi = min(1, g.NK-1)
+			case grid.KMax:
+				slab.KLo = max(g.NK-2, 0)
+			}
+			boxes = append(boxes, slab)
+		}
+		for trial := 0; trial < 20; trial++ {
+			for n := range g.IBlank {
+				g.IBlank[n] = []int8{grid.IBHole, grid.IBField, grid.IBField, grid.IBFringe}[rng.Intn(4)]
+			}
+			for _, box := range boxes {
+				for layer := 0; layer <= 1; layer++ {
+					var want []int
+					for k := box.KLo; k <= box.KHi; k++ {
+						for j := box.JLo; j <= box.JHi; j++ {
+							for i := box.ILo; i <= box.IHi; i++ {
+								if g.IBlank[g.Idx(i, j, k)] == grid.IBField && refAdjacentToNonField(g, i, j, k, layer) {
+									want = append(want, g.Idx(i, j, k))
+								}
+							}
+						}
+					}
+					got := AppendFringeLayer(nil, g, box, layer)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s box %v layer %d: row kernel marks %v, reference %v",
+							g.Name, box, layer, got, want)
+					}
+				}
+			}
 		}
 	}
 }
