@@ -1,6 +1,9 @@
 package flow
 
 import (
+	"fmt"
+	"math"
+
 	"overd/internal/par"
 )
 
@@ -29,17 +32,28 @@ const pipeBatches = 4
 
 // SolveADI factors and applies the implicit operator in place: on entry
 // b.RHS holds Δt·J·R; on return b.DQ holds ΔQ. Returns flops performed
-// locally (communication time is charged through r directly).
+// locally (communication time is charged through r directly). Between two
+// directions' line solves T(d) and T⁻¹(d+1) are applied in one pointwise
+// pass, so a 3-D sweep makes four passes, not six; each still charges the
+// full eigensystem flop constant twice per direction — the accounting is
+// per point, not per host instruction.
 func (b *Block) SolveADI(r *par.Rank, dt float64) float64 {
 	b.ensureScratch()
 	copy(b.DQ, b.RHS)
-	flops := 0.0
 	ndir := 3
 	if b.TwoD {
 		ndir = 2
 	}
+	lam := b.scr.fw // reuse flux workspace: 5 eigenvalues per point
+	flops := float64(2*ndir*b.NOwned()) * (flopsEigenBuild + flopsEigenApply)
+	b.eigenPass(-1, 0, dt, lam)
 	for d := 0; d < ndir; d++ {
-		flops += b.sweepDirection(r, d, dt)
+		flops += b.lineSolves(r, d, dt, lam)
+		next := d + 1
+		if next == ndir {
+			next = -1
+		}
+		b.eigenPass(d, next, dt, lam)
 	}
 	return flops
 }
@@ -107,71 +121,121 @@ type pipeMsg struct {
 // pipePool recycles pipeMsg envelopes across all ranks and blocks.
 var pipePool par.Pool[pipeMsg]
 
-// sweepDirection applies one ADI factor along direction d. The pointwise
-// passes walk contiguous i-runs and build only the matrix each pass needs
-// (T⁻¹ before the line solves, T after); both charge the full eigensystem
-// flop constant — the accounting is per point, not per host instruction.
-func (b *Block) sweepDirection(r *par.Rank, d int, dt float64) float64 {
-	s := b.scr
-
-	// Pointwise: W = T⁻¹ · DQ, and stash eigenvalues per point.
-	lam := s.fw // reuse flux workspace: 5 eigenvalues per point
-	var e Eigen
+// eigenPass is the pointwise half of the factorization: at every owned point
+// it applies T(dT) to DQ (after dT's line solves) and then T⁻¹(dTi) (before
+// dTi's), stashing dTi's Δt·J-scaled eigenvalues in lam (5 per point); a
+// negative direction skips that half. The two halves share one load of DQ,
+// the metrics and ρ, u, v, w, a, φ². Rows are the expressions of Eigen.Set,
+// formed as scalars and accumulated as MulT/MulTi do (0 + t0·x0 + t1·x1 …).
+// The opening pass (dT < 0) evaluates Primitive into the scratch cache, so a
+// Q changed since ComputeRHS is seen; later passes read the cache.
+func (b *Block) eigenPass(dT, dTi int, dt float64, lam []float64) {
+	prim, prS := b.scr.prim, b.scr.pr
 	met, dqs, jac := b.Met, b.DQ, b.Jac
 	xt, yt, zt := b.XT, b.YT, b.ZT
-	md := 3 * d
+	const g1 = Gamma - 1
 	klo, khi := b.kBounds()
 	niOwn := b.Own.NI()
 	for lk := klo; lk <= khi; lk++ {
 		for lj := Halo; lj < b.MJ-Halo; lj++ {
 			p0 := b.LIdx(Halo, lj, lk)
 			for p := p0; p < p0+niOwn; p++ {
-				mp := met[9*p+md : 9*p+md+3 : 9*p+md+3]
-				kx, ky, kz := mp[0], mp[1], mp[2]
-				kt := -(kx*xt[p] + ky*yt[p] + kz*zt[p])
-				e.SetTi(b.QAt(p), kx, ky, kz, kt)
+				pm := prim[4*p : 4*p+4 : 4*p+4]
+				if dT < 0 {
+					pm[0], pm[1], pm[2], pm[3], prS[p] = Primitive(b.QAt(p))
+				}
+				rho, u, v, w := pm[0], pm[1], pm[2], pm[3]
+				a := SoundSpeed(rho, prS[p])
+				aa := a * a
+				phi2 := 0.5 * g1 * (u*u + v*v + w*w)
 				dq := dqs[5*p : 5*p+5 : 5*p+5]
-				w := e.MulTi([5]float64{dq[0], dq[1], dq[2], dq[3], dq[4]})
-				dq[0], dq[1], dq[2], dq[3], dq[4] = w[0], w[1], w[2], w[3], w[4]
-				jdt := jac[p] * dt
-				lp := lam[5*p : 5*p+5 : 5*p+5]
-				lp[0] = e.Lam[0] * jdt
-				lp[1] = e.Lam[1] * jdt
-				lp[2] = e.Lam[2] * jdt
-				lp[3] = e.Lam[3] * jdt
-				lp[4] = e.Lam[4] * jdt
+				x0, x1, x2, x3, x4 := dq[0], dq[1], dq[2], dq[3], dq[4]
+				if dT >= 0 {
+					mp := met[9*p+3*dT : 9*p+3*dT+3 : 9*p+3*dT+3]
+					_, nx, ny, nz := unitNormal(mp[0], mp[1], mp[2])
+					thN := nx*u + ny*v + nz*w
+					alpha := rho / (math.Sqrt2 * a)
+					h := (phi2 + aa) / g1
+					y0 := 0.0 + nx*x0 + ny*x1 + nz*x2 + alpha*x3 + alpha*x4
+					y1 := 0.0 + nx*u*x0 + (ny*u-nz*rho)*x1 + (nz*u+ny*rho)*x2 + alpha*(u+nx*a)*x3 + alpha*(u-nx*a)*x4
+					y2 := 0.0 + (nx*v+nz*rho)*x0 + ny*v*x1 + (nz*v-nx*rho)*x2 + alpha*(v+ny*a)*x3 + alpha*(v-ny*a)*x4
+					y3 := 0.0 + (nx*w-ny*rho)*x0 + (ny*w+nx*rho)*x1 + nz*w*x2 + alpha*(w+nz*a)*x3 + alpha*(w-nz*a)*x4
+					y4 := 0.0 + (nx*phi2/g1+rho*(nz*v-ny*w))*x0 + (ny*phi2/g1+rho*(nx*w-nz*u))*x1 +
+						(nz*phi2/g1+rho*(ny*u-nx*v))*x2 + alpha*(h+a*thN)*x3 + alpha*(h-a*thN)*x4
+					x0, x1, x2, x3, x4 = y0, y1, y2, y3, y4
+				}
+				if dTi >= 0 {
+					mp := met[9*p+3*dTi : 9*p+3*dTi+3 : 9*p+3*dTi+3]
+					kx, ky, kz := mp[0], mp[1], mp[2]
+					kt := -(kx*xt[p] + ky*yt[p] + kz*zt[p])
+					gm, nx, ny, nz := unitNormal(kx, ky, kz)
+					theta := kx*u + ky*v + kz*w + kt
+					thN := nx*u + ny*v + nz*w
+					beta := 1 / (math.Sqrt2 * rho * a)
+					c0 := 1 - phi2/aa
+					y0 := 0.0 + (nx*c0-(nz*v-ny*w)/rho)*x0 + nx*g1*u/aa*x1 + (nx*g1*v/aa+nz/rho)*x2 + (nx*g1*w/aa-ny/rho)*x3 + (-nx*g1/aa)*x4
+					y1 := 0.0 + (ny*c0-(nx*w-nz*u)/rho)*x0 + (ny*g1*u/aa-nz/rho)*x1 + ny*g1*v/aa*x2 + (ny*g1*w/aa+nx/rho)*x3 + (-ny*g1/aa)*x4
+					y2 := 0.0 + (nz*c0-(ny*u-nx*v)/rho)*x0 + (nz*g1*u/aa+ny/rho)*x1 + (nz*g1*v/aa-nx/rho)*x2 + nz*g1*w/aa*x3 + (-nz*g1/aa)*x4
+					y3 := 0.0 + beta*(phi2-a*thN)*x0 + beta*(nx*a-g1*u)*x1 + beta*(ny*a-g1*v)*x2 + beta*(nz*a-g1*w)*x3 + beta*g1*x4
+					y4 := 0.0 + beta*(phi2+a*thN)*x0 + beta*(-nx*a-g1*u)*x1 + beta*(-ny*a-g1*v)*x2 + beta*(-nz*a-g1*w)*x3 + beta*g1*x4
+					x0, x1, x2, x3, x4 = y0, y1, y2, y3, y4
+					jdt := jac[p] * dt
+					lp := lam[5*p : 5*p+5 : 5*p+5]
+					lp[0], lp[1], lp[2] = theta*jdt, theta*jdt, theta*jdt
+					lp[3], lp[4] = (theta+a*gm)*jdt, (theta-a*gm)*jdt
+				}
+				dq[0], dq[1], dq[2], dq[3], dq[4] = x0, x1, x2, x3, x4
 			}
 		}
 	}
-	flops := float64(b.NOwned()) * (flopsEigenBuild + flopsEigenApply)
+}
 
-	// Scalar tridiagonal solves along d, pipelined across ranks.
-	flops += b.lineSolves(r, d, dt, lam)
-
-	// Pointwise: DQ = T · W.
-	for lk := klo; lk <= khi; lk++ {
-		for lj := Halo; lj < b.MJ-Halo; lj++ {
-			p0 := b.LIdx(Halo, lj, lk)
-			for p := p0; p < p0+niOwn; p++ {
-				mp := met[9*p+md : 9*p+md+3 : 9*p+md+3]
-				kx, ky, kz := mp[0], mp[1], mp[2]
-				kt := -(kx*xt[p] + ky*yt[p] + kz*zt[p])
-				e.SetT(b.QAt(p), kx, ky, kz, kt)
-				dq := dqs[5*p : 5*p+5 : 5*p+5]
-				w := e.MulT([5]float64{dq[0], dq[1], dq[2], dq[3], dq[4]})
-				dq[0], dq[1], dq[2], dq[3], dq[4] = w[0], w[1], w[2], w[3], w[4]
-			}
-		}
+// thomasRow advances one characteristic field's forward elimination across
+// one row with sub-, main- and super-diagonal (am, bm, cm), right-hand side
+// rm and the previous row's (c', d').
+func thomasRow(am, bm, cm, rm, cPrev, dPrev float64) (c, d float64) {
+	den := bm - am*cPrev
+	if den == 0 {
+		den = 1e-30
 	}
-	flops += float64(b.NOwned()) * (flopsEigenBuild + flopsEigenApply)
-	return flops
+	return cm / den, (rm - am*dPrev) / den
+}
+
+// upwindRow is thomasRow at an updatable point: first-order upwind implicit
+// operator for scaled eigenvalue l plus implicit smoothing eps. The row is
+// written out rather than passed to thomasRow so that the function stays
+// within the inliner's budget — a call per field per row spills the five
+// chains' locals.
+func upwindRow(l, eps, rm, cPrev, dPrev float64) (c, d float64) {
+	al := abs(l)
+	lp, lm := 0.5*(l+al), 0.5*(l-al)
+	am := -lp - eps
+	den := 1 + (lp - lm) + 2*eps - am*cPrev
+	if den == 0 {
+		den = 1e-30
+	}
+	return (lm - eps) / den, (rm - am*dPrev) / den
+}
+
+// recvPipe receives the boundary state of batch bi of direction d from rank
+// from. A message for another direction or batch means the carry code has
+// paired the wrong lines — a bug, so it panics.
+func (b *Block) recvPipe(r *par.Rank, from, d, bi int) *pipeMsg {
+	pm := r.Recv(from, par.TagPipeline).Data.(*pipeMsg)
+	if pm.Dir != d || pm.Batch != bi {
+		panic(fmt.Sprintf("flow: rank %d pipelined sweep expects direction %d batch %d from rank %d, got direction %d batch %d",
+			r.ID, d, bi, from, pm.Dir, pm.Batch))
+	}
+	return pm
 }
 
 // lineSolves performs the five scalar tridiagonal solves along direction d.
-// lam holds the Δt·J-scaled eigenvalues (5 per point). Pipelining: the
-// transverse lines are split into batches; the forward elimination of a
-// batch waits for the upstream rank's boundary state for that batch only,
-// so downstream ranks start while upstream ones continue.
+// lam holds the Δt·J-scaled eigenvalues (5 per point). Each line is walked
+// once forward and once backward with the five recurrences held in locals:
+// five independent divide chains in flight and one visit per 40-byte record.
+// Pipelining: the transverse lines are split into batches; the forward
+// elimination of a batch waits for the upstream rank's boundary state for
+// that batch only, so downstream ranks start while upstream ones continue.
 func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float64 {
 	s := b.scr
 	lg := b.lineSet(d)
@@ -216,20 +280,6 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 
 	// cpAll stores the full c' field (needed again for back substitution).
 	cpAll := s.cpAll
-
-	// Per-line implicit-smoothing coefficients, computed once per point
-	// instead of once per point per component.
-	maxCount := b.Own.NI()
-	if c := b.Own.NJ(); c > maxCount {
-		maxCount = c
-	}
-	if c := b.Own.NK(); c > maxCount {
-		maxCount = c
-	}
-	if cap(s.epsLn) < maxCount {
-		s.epsLn = make([]float64, maxCount)
-	}
-	epsLn := s.epsLn[:maxCount]
 	upd, jac, sigd, dq := s.upd, b.Jac, s.sig[d], b.DQ
 
 	batchRange := func(bi int) (lo, hi int) {
@@ -242,51 +292,43 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 	for bi := 0; bi < batches; bi++ {
 		lo, hi := batchRange(bi)
 		if prevRank >= 0 {
-			m := r.Recv(prevRank, par.TagPipeline)
-			pm := m.Data.(*pipeMsg)
+			pm := b.recvPipe(r, prevRank, d, bi)
 			copy(cIn[lo*5:(hi+1)*5], pm.Vals[:5*(hi-lo+1)])
 			copy(dIn[lo*5:(hi+1)*5], pm.Vals[5*(hi-lo+1):])
 			b.putPipe(r, pm)
 		}
 		for ln := lo; ln <= hi; ln++ {
-			base := lg.lineBase(ln)
-			for m := 0; m < count; m++ {
-				p := base + m*stride
+			var c0, c1, c2, c3, c4, d0, d1, d2, d3, d4 float64
+			if prevRank >= 0 {
+				ci, di := cIn[ln*5:ln*5+5:ln*5+5], dIn[ln*5:ln*5+5:ln*5+5]
+				c0, c1, c2, c3, c4 = ci[0], ci[1], ci[2], ci[3], ci[4]
+				d0, d1, d2, d3, d4 = di[0], di[1], di[2], di[3], di[4]
+			}
+			first := lg.lineBase(ln)
+			for p := first; p != first+count*stride; p += stride {
+				x := dq[5*p : 5*p+5 : 5*p+5]
 				if upd[p] {
-					epsLn[m] = implicitEps * dt * jac[p] * sigd[p]
+					eps := implicitEps * dt * jac[p] * sigd[p]
+					l := lam[5*p : 5*p+5 : 5*p+5]
+					c0, d0 = upwindRow(l[0], eps, x[0], c0, d0)
+					c1, d1 = upwindRow(l[1], eps, x[1], c1, d1)
+					c2, d2 = upwindRow(l[2], eps, x[2], c2, d2)
+					c3, d3 = upwindRow(l[3], eps, x[3], c3, d3)
+					c4, d4 = upwindRow(l[4], eps, x[4], c4, d4)
+				} else { // identity row
+					c0, d0 = thomasRow(0, 1, 0, 0, c0, d0)
+					c1, d1 = thomasRow(0, 1, 0, 0, c1, d1)
+					c2, d2 = thomasRow(0, 1, 0, 0, c2, d2)
+					c3, d3 = thomasRow(0, 1, 0, 0, c3, d3)
+					c4, d4 = thomasRow(0, 1, 0, 0, c4, d4)
 				}
+				cp := cpAll[5*p : 5*p+5 : 5*p+5]
+				cp[0], cp[1], cp[2], cp[3], cp[4] = c0, c1, c2, c3, c4
+				x[0], x[1], x[2], x[3], x[4] = d0, d1, d2, d3, d4 // store d' in place
 			}
-			for c := 0; c < 5; c++ {
-				cPrev, dPrev := 0.0, 0.0
-				if prevRank >= 0 {
-					cPrev, dPrev = cIn[ln*5+c], dIn[ln*5+c]
-				}
-				for m := 0; m < count; m++ {
-					p := base + m*stride
-					var am, bm, cm, rm float64
-					if !upd[p] {
-						am, bm, cm, rm = 0, 1, 0, 0
-					} else {
-						l := lam[5*p+c]
-						lp := 0.5 * (l + abs(l))
-						lm := 0.5 * (l - abs(l))
-						eps := epsLn[m]
-						am = -lp - eps
-						bm = 1 + (lp - lm) + 2*eps
-						cm = lm - eps
-						rm = dq[5*p+c]
-					}
-					den := bm - am*cPrev
-					if den == 0 {
-						den = 1e-30
-					}
-					cPrev = cm / den
-					dPrev = (rm - am*dPrev) / den
-					cpAll[5*p+c] = cPrev
-					dq[5*p+c] = dPrev // store d' in place
-				}
-				cOut[ln*5+c], dOut[ln*5+c] = cPrev, dPrev
-			}
+			oc, od := cOut[ln*5:ln*5+5:ln*5+5], dOut[ln*5:ln*5+5:ln*5+5]
+			oc[0], oc[1], oc[2], oc[3], oc[4] = c0, c1, c2, c3, c4
+			od[0], od[1], od[2], od[3], od[4] = d0, d1, d2, d3, d4
 			flops += float64(count) * 5 * flopsTriPerComp
 		}
 		if nextRank >= 0 {
@@ -303,26 +345,28 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 	for bi := 0; bi < batches; bi++ {
 		lo, hi := batchRange(bi)
 		if nextRank >= 0 {
-			m := r.Recv(nextRank, par.TagPipeline)
-			pm := m.Data.(*pipeMsg)
+			pm := b.recvPipe(r, nextRank, d, bi)
 			copy(xIn[lo*5:(hi+1)*5], pm.Vals)
 			b.putPipe(r, pm)
 		}
 		for ln := lo; ln <= hi; ln++ {
-			base := lg.lineBase(ln)
-			for c := 0; c < 5; c++ {
-				xNext := 0.0
-				if nextRank >= 0 {
-					xNext = xIn[ln*5+c]
-				}
-				for m := count - 1; m >= 0; m-- {
-					p := base + m*stride
-					x := dq[5*p+c] - cpAll[5*p+c]*xNext
-					dq[5*p+c] = x
-					xNext = x
-				}
-				xIn[ln*5+c] = xNext // my first point's x, for upstream
+			xi := xIn[ln*5 : ln*5+5 : ln*5+5]
+			var x0, x1, x2, x3, x4 float64
+			if nextRank >= 0 {
+				x0, x1, x2, x3, x4 = xi[0], xi[1], xi[2], xi[3], xi[4]
 			}
+			first := lg.lineBase(ln)
+			for p := first + (count-1)*stride; p >= first; p -= stride {
+				x := dq[5*p : 5*p+5 : 5*p+5]
+				cp := cpAll[5*p : 5*p+5 : 5*p+5]
+				x0 = x[0] - cp[0]*x0
+				x1 = x[1] - cp[1]*x1
+				x2 = x[2] - cp[2]*x2
+				x3 = x[3] - cp[3]*x3
+				x4 = x[4] - cp[4]*x4
+				x[0], x[1], x[2], x[3], x[4] = x0, x1, x2, x3, x4
+			}
+			xi[0], xi[1], xi[2], xi[3], xi[4] = x0, x1, x2, x3, x4 // my first point's x, for upstream
 			flops += float64(count) * 5 * 2
 		}
 		if prevRank >= 0 {

@@ -37,7 +37,8 @@ type Block struct {
 
 	// Q holds conserved variables, 5 per point, interleaved.
 	Q []float64
-	// DQ is the implicit update workspace (5 per point).
+	// DQ is the implicit update workspace (5 per point): ΔQ from SolveADI
+	// until ApplyUpdate, scratch for ComputeRHS otherwise.
 	DQ []float64
 	// RHS is the residual workspace (5 per point).
 	RHS []float64

@@ -28,107 +28,72 @@ func NewEigen(q [5]float64, kx, ky, kz, kt float64) Eigen {
 	return e
 }
 
-// Set fills the eigensystem in place (avoids copying the 5x5 matrices in
-// the solver's hot loops).
+// Set fills the eigensystem in place. It is the matrix-form statement of
+// the transform: the ADI kernel (eigenPass) forms the same rows as scalars
+// and is held to these expressions bit for bit by the kernel-equivalence
+// tests.
 func (e *Eigen) Set(q [5]float64, kx, ky, kz, kt float64) {
-	e.SetTi(q, kx, ky, kz, kt)
-	e.SetT(q, kx, ky, kz, kt)
-}
-
-// SetTi fills the eigenvalues and the left eigenvector matrix T⁻¹ only —
-// all the first ADI pointwise pass needs. Elements are written individually
-// (no composite-literal temporary) and T is left untouched.
-func (e *Eigen) SetTi(q [5]float64, kx, ky, kz, kt float64) {
 	rho, u, v, w, p := Primitive(q)
 	a := SoundSpeed(rho, p)
-	gm := math.Sqrt(kx*kx + ky*ky + kz*kz)
-	if gm < 1e-300 {
-		gm = 1e-300
-	}
-	nx, ny, nz := kx/gm, ky/gm, kz/gm
+	gm, nx, ny, nz := unitNormal(kx, ky, kz)
 	theta := kx*u + ky*v + kz*w + kt
 	thN := nx*u + ny*v + nz*w // normalized contravariant velocity (no kt)
 
 	phi2 := 0.5 * (Gamma - 1) * (u*u + v*v + w*w)
+	alpha := rho / (math.Sqrt2 * a)
 	beta := 1 / (math.Sqrt2 * rho * a)
 	g1 := Gamma - 1
 
-	e.Lam[0] = theta
-	e.Lam[1] = theta
-	e.Lam[2] = theta
-	e.Lam[3] = theta + a*gm
-	e.Lam[4] = theta - a*gm
+	e.Lam = [5]float64{theta, theta, theta, theta + a*gm, theta - a*gm}
 
-	ti := &e.Ti
-	ti[0][0] = nx*(1-phi2/(a*a)) - (nz*v-ny*w)/rho
-	ti[0][1] = nx * g1 * u / (a * a)
-	ti[0][2] = nx*g1*v/(a*a) + nz/rho
-	ti[0][3] = nx*g1*w/(a*a) - ny/rho
-	ti[0][4] = -nx * g1 / (a * a)
-	ti[1][0] = ny*(1-phi2/(a*a)) - (nx*w-nz*u)/rho
-	ti[1][1] = ny*g1*u/(a*a) - nz/rho
-	ti[1][2] = ny * g1 * v / (a * a)
-	ti[1][3] = ny*g1*w/(a*a) + nx/rho
-	ti[1][4] = -ny * g1 / (a * a)
-	ti[2][0] = nz*(1-phi2/(a*a)) - (ny*u-nx*v)/rho
-	ti[2][1] = nz*g1*u/(a*a) + ny/rho
-	ti[2][2] = nz*g1*v/(a*a) - nx/rho
-	ti[2][3] = nz * g1 * w / (a * a)
-	ti[2][4] = -nz * g1 / (a * a)
-	ti[3][0] = beta * (phi2 - a*thN)
-	ti[3][1] = beta * (nx*a - g1*u)
-	ti[3][2] = beta * (ny*a - g1*v)
-	ti[3][3] = beta * (nz*a - g1*w)
-	ti[3][4] = beta * g1
-	ti[4][0] = beta * (phi2 + a*thN)
-	ti[4][1] = beta * (-nx*a - g1*u)
-	ti[4][2] = beta * (-ny*a - g1*v)
-	ti[4][3] = beta * (-nz*a - g1*w)
-	ti[4][4] = beta * g1
+	e.T = [5][5]float64{
+		{nx, ny, nz, alpha, alpha},
+		{nx * u, ny*u - nz*rho, nz*u + ny*rho, alpha * (u + nx*a), alpha * (u - nx*a)},
+		{nx*v + nz*rho, ny * v, nz*v - nx*rho, alpha * (v + ny*a), alpha * (v - ny*a)},
+		{nx*w - ny*rho, ny*w + nx*rho, nz * w, alpha * (w + nz*a), alpha * (w - nz*a)},
+		{
+			nx*phi2/g1 + rho*(nz*v-ny*w),
+			ny*phi2/g1 + rho*(nx*w-nz*u),
+			nz*phi2/g1 + rho*(ny*u-nx*v),
+			alpha * ((phi2+a*a)/g1 + a*thN),
+			alpha * ((phi2+a*a)/g1 - a*thN),
+		},
+	}
+
+	e.Ti = [5][5]float64{
+		{
+			nx*(1-phi2/(a*a)) - (nz*v-ny*w)/rho,
+			nx * g1 * u / (a * a),
+			nx*g1*v/(a*a) + nz/rho,
+			nx*g1*w/(a*a) - ny/rho,
+			-nx * g1 / (a * a),
+		},
+		{
+			ny*(1-phi2/(a*a)) - (nx*w-nz*u)/rho,
+			ny*g1*u/(a*a) - nz/rho,
+			ny * g1 * v / (a * a),
+			ny*g1*w/(a*a) + nx/rho,
+			-ny * g1 / (a * a),
+		},
+		{
+			nz*(1-phi2/(a*a)) - (ny*u-nx*v)/rho,
+			nz*g1*u/(a*a) + ny/rho,
+			nz*g1*v/(a*a) - nx/rho,
+			nz * g1 * w / (a * a),
+			-nz * g1 / (a * a),
+		},
+		{beta * (phi2 - a*thN), beta * (nx*a - g1*u), beta * (ny*a - g1*v), beta * (nz*a - g1*w), beta * g1},
+		{beta * (phi2 + a*thN), beta * (-nx*a - g1*u), beta * (-ny*a - g1*v), beta * (-nz*a - g1*w), beta * g1},
+	}
 }
 
-// SetT fills the right eigenvector matrix T only — all the second ADI
-// pointwise pass needs. Lam and Ti are left untouched.
-func (e *Eigen) SetT(q [5]float64, kx, ky, kz, kt float64) {
-	rho, u, v, w, p := Primitive(q)
-	a := SoundSpeed(rho, p)
-	gm := math.Sqrt(kx*kx + ky*ky + kz*kz)
+// unitNormal returns |∇k|, floored away from zero, and ∇k/|∇k|.
+func unitNormal(kx, ky, kz float64) (gm, nx, ny, nz float64) {
+	gm = math.Sqrt(kx*kx + ky*ky + kz*kz)
 	if gm < 1e-300 {
 		gm = 1e-300
 	}
-	nx, ny, nz := kx/gm, ky/gm, kz/gm
-	thN := nx*u + ny*v + nz*w
-
-	phi2 := 0.5 * (Gamma - 1) * (u*u + v*v + w*w)
-	alpha := rho / (math.Sqrt2 * a)
-	g1 := Gamma - 1
-
-	t := &e.T
-	t[0][0] = nx
-	t[0][1] = ny
-	t[0][2] = nz
-	t[0][3] = alpha
-	t[0][4] = alpha
-	t[1][0] = nx * u
-	t[1][1] = ny*u - nz*rho
-	t[1][2] = nz*u + ny*rho
-	t[1][3] = alpha * (u + nx*a)
-	t[1][4] = alpha * (u - nx*a)
-	t[2][0] = nx*v + nz*rho
-	t[2][1] = ny * v
-	t[2][2] = nz*v - nx*rho
-	t[2][3] = alpha * (v + ny*a)
-	t[2][4] = alpha * (v - ny*a)
-	t[3][0] = nx*w - ny*rho
-	t[3][1] = ny*w + nx*rho
-	t[3][2] = nz * w
-	t[3][3] = alpha * (w + nz*a)
-	t[3][4] = alpha * (w - nz*a)
-	t[4][0] = nx*phi2/g1 + rho*(nz*v-ny*w)
-	t[4][1] = ny*phi2/g1 + rho*(nx*w-nz*u)
-	t[4][2] = nz*phi2/g1 + rho*(ny*u-nx*v)
-	t[4][3] = alpha * ((phi2+a*a)/g1 + a*thN)
-	t[4][4] = alpha * ((phi2+a*a)/g1 - a*thN)
+	return gm, kx / gm, ky / gm, kz / gm
 }
 
 // MulT applies the right eigenvector matrix: out = T · x.

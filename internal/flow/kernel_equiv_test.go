@@ -398,6 +398,10 @@ type equivCase struct {
 	build   func() *grid.Grid
 	viscous [3]bool
 	holes   bool
+	// carve marks fixed holes after the state is seeded; signedZeros swaps
+	// exact −0 entries into the RHS before the ADI comparison.
+	carve       func(b *Block)
+	signedZeros bool
 }
 
 func equivCases() []equivCase {
@@ -430,7 +434,44 @@ func equivCases() []equivCase {
 			},
 			holes: true,
 		},
+		{
+			// Fixed holes put an invalid point on the low side, the high
+			// side and both sides of an updatable point's interfaces in
+			// every direction, inside a patch of exactly uniform state
+			// where every difference is a signed zero: a flux that is
+			// skipped and a flux that is added as zero differ only there.
+			name: "cartesian-3d-carved-uniform-patch",
+			build: func() *grid.Grid {
+				return gridgen.CartesianBox(0, "bg", 16, 14, 12,
+					geom.Box{Min: geom.Vec3{X: -2, Y: -2, Z: -2}, Max: geom.Vec3{X: 2, Y: 2, Z: 2}})
+			},
+			carve:       carveInterfaceHoles,
+			signedZeros: true,
+		},
 	}
+}
+
+// carveInterfaceHoles makes the state exactly uniform on local indices
+// [4,15]×[4,11]×[4,9], then marks as holes one isolated point (its six
+// neighbors each lose one interface, the points two away lose the fourth
+// difference) and, per direction, the two neighbors of one field point.
+func carveInterfaceHoles(b *Block) {
+	qf := b.FS.Conserved()
+	for lk := 4; lk <= 9; lk++ {
+		for lj := 4; lj <= 11; lj++ {
+			for li := 4; li <= 15; li++ {
+				b.SetQ(b.LIdx(li, lj, lk), qf)
+			}
+		}
+	}
+	b.IBl[b.LIdx(6, 6, 5)] = grid.IBHole
+	mid := b.LIdx(10, 8, 6)
+	for d := 0; d < 3; d++ {
+		str := b.strideOf(d)
+		b.IBl[mid+(d+1)*b.strideOf((d+1)%3)-str] = grid.IBHole
+		b.IBl[mid+(d+1)*b.strideOf((d+1)%3)+str] = grid.IBHole
+	}
+	b.classifyPoints()
 }
 
 // buildEquivBlock constructs and randomizes a block: perturbed conserved
@@ -468,6 +509,9 @@ func buildEquivBlock(tc equivCase, seed int64) *Block {
 		}
 		b.classifyPoints()
 	}
+	if tc.carve != nil {
+		tc.carve(b)
+	}
 	if b.MuT != nil {
 		b.ComputeTurbulence()
 	}
@@ -495,6 +539,20 @@ func TestKernelEquivalence(t *testing.T) {
 				// ADI: both start from the same RHS; the reference uses the
 				// sig fields ComputeRHS just filled (identical by the check
 				// above since rs.sig was compared implicitly through RHS).
+				if tc.signedZeros {
+					negZero := math.Copysign(0, -1)
+					for p := trial; p < n; p += 7 {
+						if !b.scr.upd[p] {
+							continue
+						}
+						b.RHS[5*p+p%5] = negZero
+						if p%3 == 0 {
+							for c := 0; c < 5; c++ {
+								b.RHS[5*p+c] = negZero
+							}
+						}
+					}
+				}
 				refDQ := append([]float64(nil), b.RHS...)
 				lam := make([]float64, 5*n)
 				cpAll := make([]float64, 5*n)
@@ -535,6 +593,33 @@ func TestKernelEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSolveADIStaleCache changes Q at owned points between ComputeRHS and
+// SolveADI, as SetFringe and ApplyUpdate do: the sweep must use the new Q
+// (its opening pass re-evaluates Primitive), not the primitives ComputeRHS
+// cached.
+func TestSolveADIStaleCache(t *testing.T) {
+	const dt = 0.01
+	for _, tc := range equivCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			b := buildEquivBlock(tc, 5)
+			n := b.NPointsLocal()
+			b.ComputeRHS(dt)
+			rng := rand.New(rand.NewSource(6))
+			b.eachInterior(func(p int) {
+				if rng.Intn(4) == 0 {
+					for c := 0; c < 5; c++ {
+						b.Q[5*p+c] *= 1 + 0.1*(rng.Float64()-0.5)
+					}
+				}
+			})
+			refDQ := append([]float64(nil), b.RHS...)
+			refSolveADI(b, dt, refDQ, make([]float64, 5*n), make([]float64, 5*n))
+			runSerial(t, func(r *par.Rank) { b.SolveADI(r, dt) })
+			cmpBits(t, "SolveADI after Q changed", b.DQ, refDQ)
+		})
 	}
 }
 

@@ -19,16 +19,14 @@ type scratch struct {
 	// Pipelined Thomas-solve state, hoisted out of lineSolves so the three
 	// sweeps per step reuse one set of buffers instead of allocating six
 	// arrays per direction. cpAll caches the full c' field for back
-	// substitution (5 per point); the rest hold 5 values per transverse
+	// substitution (5 per point; during ComputeRHS it holds the JST
+	// interface fluxes instead); the rest hold 5 values per transverse
 	// line and are grown to the largest direction's line count on first use.
 	// Every element read during a sweep is written earlier in the same
 	// sweep, so no zeroing between reuses is needed.
 	cpAll                []float64
 	cIn, dIn, cOut, dOut []float64
 	xIn                  []float64
-	// epsLn holds the per-point implicit-smoothing coefficient of one line,
-	// computed once instead of once per component.
-	epsLn []float64
 
 	// Baldwin-Lomax per-line scratch (wall-normal extent); every element is
 	// written before it is read on each line, so no clearing between lines.
@@ -233,8 +231,10 @@ const (
 // The kernel is fused: one pass caches primitives and fills pressure and
 // spectral radii, then each direction fills the flux workspace from the
 // cached primitives (Q is unchanged within this call, so Primitive would
-// return identical bits) and accumulates the central difference plus JST
-// dissipation in a single sweep over contiguous i-runs.
+// return identical bits), fills the JST dissipation flux of every interface
+// once (fillDissipation — it uses DQ as workspace) and accumulates the
+// central difference and the two interface fluxes of each point in a single
+// sweep over contiguous i-runs.
 func (b *Block) ComputeRHS(dt float64) float64 {
 	b.ensureScratch()
 	s := b.scr
@@ -284,7 +284,7 @@ func (b *Block) ComputeRHS(dt float64) float64 {
 
 	flops := float64(n) * (flopsPressure + flopsSpectral*float64(ndir))
 
-	q, fw, upd := b.Q, s.fw, s.upd
+	q, fw, upd, stv, g := b.Q, s.fw, s.upd, s.stv, s.cpAll
 	klo, khi := b.kBounds()
 	niOwn := b.Own.NI()
 	for d := 0; d < ndir; d++ {
@@ -306,7 +306,7 @@ func (b *Block) ComputeRHS(dt float64) float64 {
 			f[4] = (qp[4]+pr)*U - kt*pr
 		}
 		str := b.strideOf(d)
-		sigd := s.sig[d]
+		b.fillDissipation(d)
 		for lk := klo; lk <= khi; lk++ {
 			for lj := Halo; lj < b.MJ-Halo; lj++ {
 				p0 := b.LIdx(Halo, lj, lk)
@@ -323,8 +323,25 @@ func (b *Block) ComputeRHS(dt float64) float64 {
 					rp[2] -= 0.5 * (fp[2] - fm[2])
 					rp[3] -= 0.5 * (fp[3] - fm[3])
 					rp[4] -= 0.5 * (fp[4] - fm[4])
-					// JST dissipation: d_{+1/2} - d_{-1/2}.
-					b.addDissipation(p, str, sigd)
+					// JST dissipation: d_{+1/2} - d_{-1/2}. An interface with
+					// an invalid side is skipped, never added as zero
+					// (-0 + 0 is +0); p itself is updatable, hence valid.
+					if stv[p+str] {
+						gh := g[5*p : 5*p+5 : 5*p+5]
+						rp[0] += gh[0]
+						rp[1] += gh[1]
+						rp[2] += gh[2]
+						rp[3] += gh[3]
+						rp[4] += gh[4]
+					}
+					if stv[p-str] {
+						gl := g[5*(p-str) : 5*(p-str)+5]
+						rp[0] -= gl[0]
+						rp[1] -= gl[1]
+						rp[2] -= gl[2]
+						rp[3] -= gl[3]
+						rp[4] -= gl[4]
+					}
 				}
 			}
 		}
@@ -358,73 +375,71 @@ func (b *Block) ComputeRHS(dt float64) float64 {
 	return flops
 }
 
-// addDissipation accumulates the scalar JST dissipation along the direction
-// with stride str at point p into RHS. sigd is that direction's spectral
-// radius field. Stencil validity degrades the fourth-difference term to
-// second difference near holes and boundaries.
-func (b *Block) addDissipation(p, str int, sigd []float64) {
+// fillDissipation prepares direction d's scalar JST dissipation so that
+// ComputeRHS evaluates each thing once: the pressure switch (the normalized
+// second difference of pressure) once per point, into DQ — like the Thomas c'
+// field, idle until SolveADI overwrites it — and the scaled flux
+// σ·(ε₂Δq − ε₄Δ³q) once per interface (p, p+str), stored at p in that c'
+// field, for every interface an updatable point borders. Stencil validity
+// degrades the fourth difference to second near holes and boundaries.
+func (b *Block) fillDissipation(d int) {
 	s := b.scr
-	q, stv := b.Q, s.stv
-	rp := b.RHS[5*p : 5*p+5 : 5*p+5]
-	for side := 0; side < 2; side++ {
-		// Interface p+1/2 (side 0) and p-1/2 (side 1).
-		pl, pr := p, p+str
-		sign := 1.0
-		if side == 1 {
-			pl, pr = p-str, p
-			sign = -1
-		}
-		if !stv[pl] || !stv[pr] {
-			continue
-		}
-		sigma := 0.5 * (sigd[pl] + sigd[pr])
-		// Pressure switch.
-		nu := pressureSensor(s, pl, str) // at pl
-		if n2 := pressureSensor(s, pr, str); n2 > nu {
-			nu = n2
-		}
-		eps2 := dissK2 * nu
-		eps4 := dissK4 - eps2
-		if eps4 < 0 {
-			eps4 = 0
-		}
-		// Fourth-difference needs two more valid neighbors.
-		pll, prr := pl-str, pr+str
-		fourth := stv[pll] && stv[prr]
-		ss := sign * sigma
-		ql := q[5*pl : 5*pl+5 : 5*pl+5]
-		qr := q[5*pr : 5*pr+5 : 5*pr+5]
-		if fourth {
-			qll := q[5*pll : 5*pll+5 : 5*pll+5]
-			qrr := q[5*prr : 5*prr+5 : 5*prr+5]
-			for c := 0; c < 5; c++ {
-				d1 := qr[c] - ql[c]
-				flux := eps2 * d1
-				d3 := qrr[c] - 3*qr[c] + 3*ql[c] - qll[c]
-				flux -= eps4 * d3
-				rp[c] += ss * flux
-			}
-		} else {
-			for c := 0; c < 5; c++ {
-				d1 := qr[c] - ql[c]
-				flux := eps2 * d1
-				rp[c] += ss * flux
+	str := b.strideOf(d)
+	q, stv, upd, prS, sigd, g, nu := b.Q, s.stv, s.upd, s.pr, s.sig[d], s.cpAll, b.DQ
+	klo, khi := b.kBounds()
+	lo := [3]int{Halo, Halo, klo}
+	hi := [3]int{b.MI - Halo - 1, b.MJ - Halo - 1, khi}
+	lo[d]-- // the interface below the first owned point, and its low side's switch
+	hi[d]++ // the switch on the high side of the last owned point's interface
+	for lk := lo[2]; lk <= hi[2]; lk++ {
+		for lj := lo[1]; lj <= hi[1]; lj++ {
+			for p, pe := b.LIdx(lo[0], lj, lk), b.LIdx(hi[0], lj, lk); p <= pe; p++ {
+				nu[p] = 0
+				if pm, pp := p-str, p+str; stv[pm] && stv[pp] {
+					num := math.Abs(prS[pp] - 2*prS[p] + prS[pm])
+					if den := prS[pp] + 2*prS[p] + prS[pm]; !(den < 1e-12) {
+						nu[p] = num / den
+					}
+				}
 			}
 		}
 	}
-}
-
-// pressureSensor returns the normalized second difference of pressure at
-// point p along stride str, the JST shock switch.
-func pressureSensor(s *scratch, p, str int) float64 {
-	pm, pp := p-str, p+str
-	if !s.stv[pm] || !s.stv[pp] {
-		return 0
+	hi[d]--
+	for lk := lo[2]; lk <= hi[2]; lk++ {
+		for lj := lo[1]; lj <= hi[1]; lj++ {
+			for pl, pe := b.LIdx(lo[0], lj, lk), b.LIdx(hi[0], lj, lk); pl <= pe; pl++ {
+				pr := pl + str
+				if !stv[pl] || !stv[pr] || !(upd[pl] || upd[pr]) {
+					continue
+				}
+				sigma := 0.5 * (sigd[pl] + sigd[pr])
+				sw := nu[pl]
+				if n2 := nu[pr]; n2 > sw {
+					sw = n2
+				}
+				eps2 := dissK2 * sw
+				eps4 := dissK4 - eps2
+				if eps4 < 0 {
+					eps4 = 0
+				}
+				ql := q[5*pl : 5*pl+5 : 5*pl+5]
+				qr := q[5*pr : 5*pr+5 : 5*pr+5]
+				gp := g[5*pl : 5*pl+5 : 5*pl+5]
+				// Fourth-difference needs two more valid neighbors.
+				if pll, prr := pl-str, pr+str; stv[pll] && stv[prr] {
+					qll := q[5*pll : 5*pll+5 : 5*pll+5]
+					qrr := q[5*prr : 5*prr+5 : 5*prr+5]
+					for c := 0; c < 5; c++ {
+						flux := eps2 * (qr[c] - ql[c])
+						flux -= eps4 * (qrr[c] - 3*qr[c] + 3*ql[c] - qll[c])
+						gp[c] = sigma * flux
+					}
+				} else {
+					for c := 0; c < 5; c++ {
+						gp[c] = sigma * (eps2 * (qr[c] - ql[c]))
+					}
+				}
+			}
+		}
 	}
-	num := math.Abs(s.pr[pp] - 2*s.pr[p] + s.pr[pm])
-	den := s.pr[pp] + 2*s.pr[p] + s.pr[pm]
-	if den < 1e-12 {
-		return 0
-	}
-	return num / den
 }
