@@ -93,21 +93,36 @@ type Solver struct {
 	// (nil otherwise; see metrics.go).
 	met *solverMetrics
 
-	// ar, when non-nil, holds the world-shared per-rank envelope arenas
-	// (see UseArenas). Nil falls back to the process-global pools.
+	// ar, when non-nil, holds the world-shared per-rank arenas of fringe-
+	// value envelopes (see UseArenas). Nil falls back to the global pool.
 	ar *Arenas
 
 	// Reusable per-solve scratch. Everything below changes host allocation
-	// behavior only, never modeled time (see DESIGN.md, "Wall-clock vs
-	// virtual time"). The per-destination request/reply buckets are dense
-	// rank-indexed slices: iterating them in index order IS the sorted-key
-	// order the old map-based buckets had to sort into, so sends stay
-	// deterministic by construction.
+	// and host time only, never modeled time (see DESIGN.md, "Wall-clock vs
+	// virtual time"). Nothing here is configured: buckets are sized by the
+	// world, the walk memo by the requests this rank served one solve ago.
+	// The per-destination request/reply buckets are dense rank-indexed
+	// slices: iterating them in index order IS the sorted-key order the old
+	// map-based buckets had to sort into, so sends stay deterministic by
+	// construction.
+	//
+	// outbox, outboxNext, fwdBuf and replies are also the message buffers:
+	// a batch is filled in place and its address sent, and nothing comes
+	// back. That is safe because two barriers lie between a receiver's last
+	// read and the sender's next write: requests sent in Phase A of a round
+	// are read in Phase B of that round, and the bucket is next written in
+	// Phase A of the round after (outbox and outboxNext alternate, so the
+	// Phase C appends go to the other one); replies sent in Phase B are read
+	// in Phase C, and the next Phase B lies behind the all-reduce and a
+	// barrier. Forwards are appended to fwdbox during the very Phase B in
+	// which the previous round's forwards are read, hence their copy into
+	// fwdBuf at send time.
 	pend        []pendingPt // dense, indexed by IGBP id
-	outbox      [][]ptReq   // destination rank -> queued requests
-	outboxNext  [][]ptReq   // double buffer for lost-send requeues
+	outbox      []reqMsg    // destination rank -> queued requests
+	outboxNext  []reqMsg    // double buffer for lost-send requeues
 	fwdbox      [][]ptReq   // destination rank -> forwards
-	replies     [][]ptRep   // origin rank -> computed replies
+	fwdBuf      []reqMsg    // destination rank -> forwards as sent
+	replies     []repMsg    // origin rank -> computed replies
 	lostFwds    [][]ptRep   // origin rank -> broken-chain failure replies
 	anyLostFwds bool
 	rankBounds  []geom.Box
@@ -118,6 +133,17 @@ type Solver struct {
 	gridOf      []int  // scratch for rebuilding gridIx: grid per rank
 	expect      []bool // fringe-update receive set, indexed by rank
 	marks       []int  // fringe-mark scratch, reused per layer
+
+	// What stays true while my grid does not move (xf is its Xform at the
+	// latest solve, stamped false before the first): the subdomain's bounds
+	// and the coordinate part of every donor walk served. memo is a
+	// direct-mapped table, nil for a grid that moved or resolves directly;
+	// memoReqs counts the walks of the latest solve and sizes the table.
+	xf       geom.Transform
+	stamped  bool
+	myBounds geom.Box
+	memo     []walkSlot
+	memoReqs int
 }
 
 // restartKey is an IGBP identity (grid, i, j, k) packed into one word: map
@@ -160,74 +186,32 @@ const chainRestartBudget = 3
 
 type reqMsg struct{ Pts []ptReq }
 
-// Message envelope pools (see par.Pool): senders copy their batch into a
-// recycled envelope; receivers copy the contents out and return it. The
-// solver's own per-destination buckets never leave the rank, so their reuse
-// needs no cross-rank lifetime reasoning. These process-global sync.Pools
-// are the fallback for solvers without an attached Arenas (tests, ad-hoc
-// worlds); a run that wants contention-free zero-alloc reuse at
-// GOMAXPROCS > 1 attaches per-world arenas via UseArenas.
-var (
-	reqPool par.Pool[reqMsg]
-	repPool par.Pool[repMsg]
-	valPool par.Pool[valMsg]
-)
+// valPool backs fringe-value envelopes for solvers without an attached
+// Arenas (tests, ad-hoc worlds). Fringe values have no barrier between a
+// receiver's read and the sender's next step, so unlike request and reply
+// batches (see Solver) their envelopes travel: the sender Gets one, the
+// receiver copies the contents out and Puts it into its own shard.
+var valPool par.Pool[valMsg]
 
-// Arenas holds one world's per-rank sharded envelope arenas (see par.Arena):
-// every rank's solver Gets from and Puts to its own shard, so steady-state
-// envelope reuse never contends across ranks. One Arenas is shared by all of
-// a world's solvers and survives repartitions (rank count is stable).
+// Arenas holds one world's per-rank sharded arena of fringe-value envelopes
+// (see par.Arena): every rank's solver Gets from and Puts to its own shard,
+// so steady-state envelope reuse never contends across ranks. One Arenas is
+// shared by all of a world's solvers and survives repartitions (rank count
+// is stable).
 type Arenas struct {
-	req par.Arena[reqMsg]
-	rep par.Arena[repMsg]
 	val par.Arena[valMsg]
 }
 
 // NewArenas sizes envelope arenas for an n-rank world.
 func NewArenas(n int) *Arenas {
 	a := &Arenas{}
-	a.req.Init(n)
-	a.rep.Init(n)
 	a.val.Init(n)
 	return a
 }
 
 // UseArenas attaches shared per-rank envelope arenas; pass nil to fall back
-// to the process-global pools. Affects host allocation behavior only.
+// to the process-global pool. Affects host allocation behavior only.
 func (s *Solver) UseArenas(a *Arenas) { s.ar = a }
-
-// Envelope get/put helpers: arena shard for this rank when attached, global
-// pool otherwise. A received envelope is Put into the RECEIVER's shard —
-// envelope migration across ranks is the arena's designed-for case.
-func (s *Solver) getReq() *reqMsg {
-	if s.ar != nil {
-		return s.ar.req.Get(s.Rank)
-	}
-	return reqPool.Get()
-}
-
-func (s *Solver) putReq(x *reqMsg) {
-	if s.ar != nil {
-		s.ar.req.Put(s.Rank, x)
-		return
-	}
-	reqPool.Put(x)
-}
-
-func (s *Solver) getRep() *repMsg {
-	if s.ar != nil {
-		return s.ar.rep.Get(s.Rank)
-	}
-	return repPool.Get()
-}
-
-func (s *Solver) putRep(x *repMsg) {
-	if s.ar != nil {
-		s.ar.rep.Put(s.Rank, x)
-		return
-	}
-	repPool.Put(x)
-}
 
 func (s *Solver) getVal() *valMsg {
 	if s.ar != nil {
@@ -280,10 +264,11 @@ func (s *Solver) InvalidateRestart() {
 func (s *Solver) ensureWorld() {
 	n := len(s.Parts)
 	if len(s.outbox) != n {
-		s.outbox = make([][]ptReq, n)
-		s.outboxNext = make([][]ptReq, n)
+		s.outbox = make([]reqMsg, n)
+		s.outboxNext = make([]reqMsg, n)
 		s.fwdbox = make([][]ptReq, n)
-		s.replies = make([][]ptRep, n)
+		s.fwdBuf = make([]reqMsg, n)
+		s.replies = make([]repMsg, n)
 		s.lostFwds = make([][]ptRep, n)
 		s.sendList = make([][]sendEntry, n)
 		s.expect = make([]bool, n)

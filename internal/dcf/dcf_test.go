@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"overd/internal/balance"
 	"overd/internal/flow"
 	"overd/internal/geom"
 	"overd/internal/grid"
@@ -35,29 +34,20 @@ func testSystem(t *testing.T, nodes int) (*overset.Config, []Part, []*flow.Block
 		FringeDepth: 2,
 		HoleMapRes:  24,
 	}
-	sizes := []int{af.NPoints(), ring.NPoints(), bg.NPoints()}
-	plan, err := balance.Static(sizes, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	balance.SubdividePlan(plan, [][3]int{
-		{af.NI, af.NJ, 1}, {ring.NI, ring.NJ, 1}, {bg.NI, bg.NJ, 1}})
-	parts := make([]Part, nodes)
+	parts := planParts(t, sys, nodes)
 	blocks := make([]*flow.Block, nodes)
 	fs := flow.Freestream{Mach: 0.5}
 	for gi := range sys.Grids {
 		var boxes []grid.IBox
 		var ranks []int
-		for r, p := range plan.Parts {
+		for r, p := range parts {
 			if p.Grid == gi {
 				boxes = append(boxes, p.Box)
 				ranks = append(ranks, r)
 			}
 		}
-		blks := flow.BuildBlocks(sys.Grids[gi], boxes, ranks, fs)
-		for i, r := range ranks {
-			blocks[r] = blks[i]
-			parts[r] = Part{Grid: gi, Rank: r, Box: boxes[i]}
+		for i, b := range flow.BuildBlocks(sys.Grids[gi], boxes, ranks, fs) {
+			blocks[ranks[i]] = b
 		}
 	}
 	return cfg, parts, blocks

@@ -1,6 +1,10 @@
 package dcf
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"overd/internal/geom"
@@ -73,8 +77,20 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 
 	// The grids moved before this solve; nothing moves them during it, so
 	// the subdomain's bounds serve both the cutter rejection here and the
-	// global exchange below.
-	myBounds := g.BoundsOf(box)
+	// global exchange below. World coordinates are a function of the fixed
+	// body-frame coordinates and Xform alone, so an unchanged Xform keeps
+	// the bounds and the walk memo; the memo is sized to twice the walks of
+	// the solve before, once that solve has shown there are any.
+	walks := s.memoReqs
+	s.memoReqs = 0
+	if !s.stamped || g.Xform != s.xf {
+		s.xf, s.stamped = g.Xform, true
+		s.myBounds = g.BoundsOf(box)
+		s.memo = nil
+	} else if len(s.memo) < 2*walks && max(g.NI, g.NJ, g.NK) <= math.MaxUint16 {
+		s.memo = make([]walkSlot, 1<<bits.Len(uint(2*walks-1)))
+	}
+	myBounds := s.myBounds
 	s.cutHolesLocal(r, gi, box, myBounds)
 	s.markFringesLocal(r, g, gi, box)
 
@@ -133,7 +149,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 	s.Hinted, s.Scratch, s.HintMisses = 0, 0, 0
 	outbox := s.outbox // destination rank -> requests
 	for dst := range outbox {
-		outbox[dst] = outbox[dst][:0]
+		outbox[dst].Pts = outbox[dst].Pts[:0]
 	}
 	if cap(s.pend) < n {
 		s.pend = make([]pendingPt, n)
@@ -144,7 +160,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 		p := &s.pend[id]
 		if hint, ok := s.hintFor(pt); ok {
 			s.Hinted++
-			outbox[hint.rank] = append(outbox[hint.rank], ptReq{
+			outbox[hint.rank].Pts = append(outbox[hint.rank].Pts, ptReq{
 				Origin: s.Rank, ID: id, Pos: pt.Pos,
 				Grid:  hint.donor.Grid,
 				Start: [3]int{hint.donor.I, hint.donor.J, hint.donor.K},
@@ -157,7 +173,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 		}
 		s.Scratch++
 		dst := p.popCand()
-		outbox[dst] = append(outbox[dst], s.scratchReq(id, pt, p))
+		outbox[dst].Pts = append(outbox[dst].Pts, s.scratchReq(id, pt, p))
 	}
 
 	stats := Stats{LocalIGBPs: len(s.igbps)}
@@ -182,21 +198,20 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 		// orphan when the budget runs out.
 		next := s.outboxNext
 		for dst := range next {
-			next[dst] = next[dst][:0]
+			next[dst].Pts = next[dst].Pts[:0]
 		}
-		for dst, pts := range outbox {
-			if len(pts) == 0 {
-				continue
-			}
-			if s.sendReqBatch(r, dst, pts) {
+		for dst := range outbox {
+			pts := outbox[dst].Pts
+			if len(pts) == 0 || sendReqBatch(r, dst, &outbox[dst]) {
 				continue
 			}
 			s.LostSends++
-			for _, pt := range pts {
+			for i := range pts {
+				pt := &pts[i]
 				p := &s.pend[pt.ID]
 				if p.lostSends < maxLostSends {
 					p.lostSends++
-					next[dst] = append(next[dst], pt)
+					next[dst].Pts = append(next[dst].Pts, *pt)
 				} else {
 					s.donors[pt.ID] = overset.Donor{Grid: -1}
 				}
@@ -208,7 +223,8 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 			if len(pts) == 0 {
 				continue
 			}
-			if s.sendReqBatch(r, dst, pts) {
+			s.fwdBuf[dst].Pts = append(s.fwdBuf[dst].Pts[:0], pts...)
+			if sendReqBatch(r, dst, &s.fwdBuf[dst]) {
 				continue
 			}
 			s.LostSends++
@@ -241,42 +257,33 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 			inbound = append(inbound, m)
 		}
 		s.inbound = inbound
-		sort.Slice(inbound, func(a, b int) bool { return inbound[a].From < inbound[b].From })
+		slices.SortStableFunc(inbound, bySender)
 		replies := s.replies
 		for origin := range replies {
-			replies[origin] = replies[origin][:0]
+			replies[origin].Results = replies[origin].Results[:0]
 		}
 		if s.anyLostFwds {
 			// Ascending-origin merge of broken-chain failures; each origin's
 			// bucket keeps lost-forward entries ahead of served replies,
 			// exactly as the map-based merge ordered them.
 			for origin, reps := range s.lostFwds {
-				replies[origin] = append(replies[origin], reps...)
+				replies[origin].Results = append(replies[origin].Results, reps...)
 			}
 		}
 		for _, m := range inbound {
 			req := m.Data.(*reqMsg)
 			s.ReceivedIGBPs += len(req.Pts)
-			for _, pt := range req.Pts {
-				rep, fwd, fwdTo := s.serve(r, gi, box, pt)
-				if fwdTo >= 0 {
-					if debugFwd != nil {
-						debugFwd(pt)
-					}
-					fwdbox[fwdTo] = append(fwdbox[fwdTo], fwd)
-					continue
+			for i := range req.Pts {
+				pt := &req.Pts[i]
+				if rep, forwarded := s.serve(r, gi, box, pt); !forwarded {
+					replies[pt.Origin].Results = append(replies[pt.Origin].Results, rep)
 				}
-				replies[pt.Origin] = append(replies[pt.Origin], rep)
 			}
-			s.putReq(req)
 		}
-		for dst, reps := range replies {
-			if len(reps) == 0 {
-				continue
-			}
-			env := s.getRep()
-			env.Results = append(env.Results[:0], reps...)
-			if r.SendReliable(dst, par.TagSearchRep, env, bytesPerReply*len(reps)) {
+		for dst := range replies {
+			reps := replies[dst].Results
+			if len(reps) == 0 ||
+				r.SendReliable(dst, par.TagSearchRep, &replies[dst], bytesPerReply*len(reps)) {
 				continue
 			}
 			// Reply batch lost beyond the retry budget: the origin will see
@@ -302,7 +309,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 			inRep = append(inRep, m)
 		}
 		s.inbound = inRep
-		sort.Slice(inRep, func(a, b int) bool { return inRep[a].From < inRep[b].From })
+		slices.SortStableFunc(inRep, bySender)
 		for _, m := range inRep {
 			rep := m.Data.(*repMsg)
 			for _, res := range rep.Results {
@@ -323,14 +330,13 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 					continue
 				}
 				dst := p.popCand()
-				outbox[dst] = append(outbox[dst], s.scratchReq(res.ID, pt, p))
+				outbox[dst].Pts = append(outbox[dst].Pts, s.scratchReq(res.ID, pt, p))
 			}
-			s.putRep(rep)
 		}
 
 		work := 0
-		for _, v := range outbox {
-			work += len(v)
+		for dst := range outbox {
+			work += len(outbox[dst].Pts)
 		}
 		for _, v := range fwdbox {
 			work += len(v)
@@ -338,6 +344,12 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 		if r.AllReduceSum(float64(work)) == 0 {
 			break
 		}
+	}
+	// After an odd number of rounds the two request buffers have traded
+	// places; trade back, so that round k of every solve fills the same one
+	// and its capacity is found once, not once per parity.
+	if stats.Rounds%2 == 1 {
+		s.outbox, s.outboxNext = s.outboxNext, s.outbox
 	}
 
 	s.Orphans = 0
@@ -353,13 +365,17 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 	return stats
 }
 
-// sendReqBatch copies a request batch into a recycled envelope (this rank's
-// arena shard, or the global pool) and ships it on the reliable transport.
-func (s *Solver) sendReqBatch(r *par.Rank, dst int, pts []ptReq) bool {
-	env := s.getReq()
-	env.Pts = append(env.Pts[:0], pts...)
-	return r.SendReliable(dst, par.TagSearchReq, env, bytesPerRequest*len(pts))
+// sendReqBatch ships a request batch by address on the reliable transport;
+// the batch is the sender's to rewrite two barriers later (see Solver).
+func sendReqBatch(r *par.Rank, dst int, batch *reqMsg) bool {
+	return r.SendReliable(dst, par.TagSearchReq, batch, bytesPerRequest*len(batch.Pts))
 }
+
+// bySender orders a drained inbox by sender. The sort is stable and each
+// sender's messages arrive in the order it sent them, so two batches from
+// one sender (requests and forwards share a tag) are served in that order
+// wherever other senders' messages landed in between.
+func bySender(a, b par.Msg) int { return cmp.Compare(a.From, b.From) }
 
 // sortedKeys returns the keys of any int-keyed map in ascending order.
 // Every send loop driven by a map MUST iterate via this helper (or an
@@ -470,23 +486,23 @@ func (c *candSorter) Swap(a, b int) {
 	c.d[a], c.d[b] = c.d[b], c.d[a]
 }
 
-// serve performs one donor search on behalf of a requester. It returns a
-// reply, or a forwarded request with the destination rank (fwdTo >= 0).
-func (s *Solver) serve(r *par.Rank, myGrid int, myBox grid.IBox, pt ptReq) (rep ptRep, fwd ptReq, fwdTo int) {
-	fwdTo = -1
+// serve performs one donor search on behalf of a requester. It returns the
+// reply, or queues the request in fwdbox for the rank its walk exited to.
+func (s *Solver) serve(r *par.Rank, myGrid int, myBox grid.IBox, pt *ptReq) (rep ptRep, forwarded bool) {
 	dg := s.Cfg.Sys.Grids[pt.Grid]
 	var res overset.LimitedResult
 	if pt.Grid == myGrid {
-		start := pt.Start
 		if pt.Scratch {
-			// From-scratch request: sample this subdomain for the nearest
-			// starting cell ("nothing is known about the possible donor
-			// location and the solution must be performed from scratch").
-			start = nearestStartInBox(dg, myBox, pt.Pos)
-			r.Compute(125 * 4) // sampling cost
+			r.Compute(125 * 4) // cost of sampling the subdomain for a start
 		}
-		res = overset.FindDonorLimited(dg, pt.Grid, pt.Pos, start, myBox,
-			chainRestartBudget-pt.Restarts)
+		if overset.ResolvesDirectly(dg) {
+			res = overset.FindDonorLimited(dg, pt.Grid, pt.Pos, pt.Start, myBox,
+				chainRestartBudget-pt.Restarts)
+		} else {
+			// Resolve runs on every request: a hole moving through an
+			// unmoved grid blanks and uncovers remembered cells.
+			res = s.walk(dg, myBox, pt).Resolve(dg)
+		}
 	} else {
 		// Request routed to the wrong grid's rank (stale hint after
 		// repartition): fail fast, the origin advances its hierarchy.
@@ -499,11 +515,15 @@ func (s *Solver) serve(r *par.Rank, myGrid int, myBox grid.IBox, pt ptReq) (rep 
 		to := s.rankOfCell(pt.Grid, res.ExitCell)
 		if to >= 0 && to != s.Rank {
 			s.Forwards++
-			f := pt
+			if debugFwd != nil {
+				debugFwd(*pt)
+			}
+			f := *pt
 			f.Start = res.ExitCell
 			f.Hops++
 			f.Restarts += res.Restarts
-			return ptRep{}, f, to
+			s.fwdbox[to] = append(s.fwdbox[to], f)
+			return ptRep{}, true
 		}
 	}
 	if res.OK {
@@ -512,7 +532,7 @@ func (s *Solver) serve(r *par.Rank, myGrid int, myBox grid.IBox, pt ptReq) (rep 
 		s.sendList[pt.Origin] = append(s.sendList[pt.Origin],
 			sendEntry{origin: pt.Origin, id: pt.ID, donor: res.Donor})
 	}
-	return ptRep{ID: pt.ID, OK: res.OK, Donor: res.Donor, Rank: s.Rank}, ptReq{}, -1
+	return ptRep{ID: pt.ID, OK: res.OK, Donor: res.Donor, Rank: s.Rank}, false
 }
 
 // nearestStartInBox samples a coarse lattice of the subdomain and returns

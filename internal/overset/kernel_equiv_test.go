@@ -19,7 +19,8 @@ import (
 // kernel against four independent trilerp evaluations (the old Newton inner
 // step), the on-demand hole-map classification against the old
 // nine-probes-per-cell form, and the fringe-marking row kernel against the
-// old per-point neighbor test.
+// old per-point neighbor test, and the limited donor search split into its
+// coordinate and IBlank parts against the one-piece search.
 
 func cmpVec(t *testing.T, name string, got, want geom.Vec3) {
 	t.Helper()
@@ -422,6 +423,253 @@ func TestInvertCellMatchesTrilerp(t *testing.T) {
 		if pos.Sub(probe).Norm() > 1e-8 {
 			t.Fatalf("trial %d: donor cell (%d,%d,%d) at (%g,%g,%g) maps to %+v, probe %+v",
 				trial, d.I, d.J, d.K, d.A, d.B, d.C, pos, probe)
+		}
+	}
+}
+
+// refFindDonorLimited is the one-piece limited donor search that WalkLimited
+// and Resolve replaced: the same walk with the IBlank test of the containing
+// cell in the middle of it.
+func refFindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.IBox, restartBudget int) LimitedResult {
+	if g.Cartesian && !g.Moving {
+		res := cartesianLocate(g, gi, x)
+		if res.OK && !box.Contains(res.Donor.I, res.Donor.J, res.Donor.K) {
+			return LimitedResult{
+				SearchResult: SearchResult{Steps: res.Steps},
+				Exited:       true,
+				ExitCell:     [3]int{res.Donor.I, res.Donor.J, res.Donor.K},
+			}
+		}
+		return LimitedResult{SearchResult: res}
+	}
+
+	twoD := g.NK == 1
+	ni, nj, nk := g.NI, g.NJ, g.NK
+	maxI := ni - 2
+	if g.PeriodicI() {
+		maxI = ni - 1
+	}
+	i := clampCell(start[0], 0, maxI)
+	j := clampCell(start[1], 0, nj-2)
+	k := 0
+	if !twoD {
+		k = clampCell(start[2], 0, nk-2)
+	}
+	// Pull the start into the box (requests are routed to the processor
+	// whose subdomain the hint or bounding box indicated).
+	i = clampCell(i, box.ILo, min(box.IHi, maxI))
+	j = clampCell(j, box.JLo, min(box.JHi, nj-2))
+	if !twoD {
+		k = clampCell(k, box.KLo, min(box.KHi, nk-2))
+	}
+
+	// A pinned walk (the linearized direction points through a topological
+	// hole, as at the center of an annular grid) restarts from azimuthally
+	// shifted cells; a restart landing outside the subdomain becomes a
+	// forwarded request. The budget is shared across the forwarding chain
+	// so a point that is simply not in this grid cannot bounce among
+	// subdomains indefinitely.
+	retries := 0
+	stuckAt := func(steps int) LimitedResult {
+		if retries >= restartBudget {
+			return LimitedResult{SearchResult: SearchResult{Steps: steps}, Restarts: retries}
+		}
+		retries++
+		denom := restartBudget + 1
+		if denom < 2 {
+			denom = 2
+		}
+		jump := [3]int{
+			(i + (ni/denom)*retries) % (maxI + 1),
+			(nj - 1) / 2,
+			0,
+		}
+		if !twoD {
+			jump[2] = (nk - 1) / 2
+		}
+		if !box.Contains(jump[0], jump[1], jump[2]) {
+			return LimitedResult{
+				SearchResult: SearchResult{Steps: steps},
+				Exited:       true,
+				ExitCell:     jump,
+				Restarts:     retries,
+			}
+		}
+		i, j, k = jump[0], jump[1], jump[2]
+		return LimitedResult{SearchResult: SearchResult{Steps: -1}} // sentinel: continue
+	}
+
+	// A walk that keeps pressing against the grid's radial or axial extent
+	// while drifting azimuthally is chasing a point outside the component's
+	// shell; cap those boundary slides so it fails fast instead of crawling
+	// across every subdomain of the grid.
+	slides := 0
+	const maxSlides = 6
+
+	steps := 0
+	for steps < maxWalkSteps {
+		a, b, c, conv := invertCell(g, i, j, k, x)
+		steps += newtonIters
+		const tol = 1e-8
+		if conv && a >= -tol && a <= 1+tol && b >= -tol && b <= 1+tol &&
+			(twoD || c >= -tol && c <= 1+tol) {
+			if cellIsField(g, i, j, k) {
+				return LimitedResult{SearchResult: SearchResult{
+					Donor: Donor{Grid: gi, I: i, J: j, K: k,
+						A: clamp01(a), B: clamp01(b), C: clamp01(c)},
+					Steps: steps, OK: true,
+				}}
+			}
+			return LimitedResult{SearchResult: SearchResult{Steps: steps}}
+		}
+		di := walkStep(a)
+		dj := walkStep(b)
+		dk := 0
+		if !twoD {
+			dk = walkStep(c)
+		}
+		stuck := !conv || (di == 0 && dj == 0 && dk == 0)
+		if !stuck {
+			niNew := i + di
+			if g.PeriodicI() {
+				niNew = ((niNew % ni) + ni) % ni
+			} else {
+				niNew = clampCell(niNew, 0, maxI)
+			}
+			njNew := clampCell(j+dj, 0, nj-2)
+			nkNew := k
+			if !twoD {
+				nkNew = clampCell(k+dk, 0, nk-2)
+			}
+			// Grid-boundary clamping in the overshoot direction: a slide.
+			if (dj != 0 && njNew == j) || (!twoD && dk != 0 && nkNew == k) ||
+				(!g.PeriodicI() && di != 0 && niNew == i) {
+				slides++
+			}
+			if niNew == i && njNew == j && nkNew == k {
+				stuck = true
+			} else if slides > maxSlides {
+				stuck = true
+			} else {
+				i, j, k = niNew, njNew, nkNew
+				steps++
+				if !box.Contains(i, j, k) {
+					return LimitedResult{
+						SearchResult: SearchResult{Steps: steps},
+						Exited:       true,
+						ExitCell:     [3]int{i, j, k},
+						Restarts:     retries,
+					}
+				}
+				continue
+			}
+		}
+		if stuck {
+			res := stuckAt(steps)
+			if res.Steps >= 0 {
+				return res
+			}
+			slides = 0
+		}
+	}
+	return LimitedResult{SearchResult: SearchResult{Steps: steps}, Restarts: retries}
+}
+
+// TestWalkLimitedResolveMatchesReference: the coordinate part of the limited
+// search followed by the IBlank part is the old search, field for field and
+// bit for bit — over random points, starts, boxes and restart budgets on a
+// periodic O-grid, a 3-D body-of-revolution grid, a non-periodic 2-D grid
+// that walks and a Cartesian grid that resolves directly; and a walk taken
+// under one IBlank field resolves under another as the old search run
+// against that other field (the walk never read IBlank).
+func TestWalkLimitedResolveMatchesReference(t *testing.T) {
+	plate := gridgen.CartesianBox(0, "plate", 28, 22, 1,
+		geom.Box{Min: geom.Vec3{X: -2, Y: -1}, Max: geom.Vec3{X: 3, Y: 2}})
+	plate.Moving = true
+	plate.ApplyTransform(geom.Transform{R: geom.RotZ(0.3), T: geom.Vec3{X: 0.2, Y: -0.1}})
+	grids := map[string]*grid.Grid{
+		"ring":  gridgen.Annulus(0, "ring", 64, 16, 0.1, -0.2, 0.8, 4),
+		"store": gridgen.BodyOfRevolutionGrid(0, "store", 24, 12, 20, gridgen.OgiveProfile(4, 0.4), 2.5),
+		"plate": plate,
+		"bg": gridgen.CartesianBox(0, "bg", 18, 14, 10,
+			geom.Box{Min: geom.Vec3{X: -3, Y: -3, Z: -3}, Max: geom.Vec3{X: 5, Y: 3, Z: 3}}),
+	}
+	same := func(a, b LimitedResult) bool {
+		return a.OK == b.OK && a.Steps == b.Steps && a.Exited == b.Exited &&
+			a.ExitCell == b.ExitCell && a.Restarts == b.Restarts &&
+			a.Donor.Grid == b.Donor.Grid && a.Donor.I == b.Donor.I && a.Donor.J == b.Donor.J && a.Donor.K == b.Donor.K &&
+			math.Float64bits(a.Donor.A) == math.Float64bits(b.Donor.A) &&
+			math.Float64bits(a.Donor.B) == math.Float64bits(b.Donor.B) &&
+			math.Float64bits(a.Donor.C) == math.Float64bits(b.Donor.C)
+	}
+	for name, g := range grids {
+		rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
+		blank := func(frac float64) {
+			for n := range g.IBlank {
+				g.IBlank[n] = grid.IBField
+				if rng.Float64() < frac {
+					g.IBlank[n] = grid.IBHole
+				}
+			}
+		}
+		bounds := g.Bounds()
+		size := bounds.Size()
+		// A subdomain holds at least one cell base: its low point index is
+		// never the grid's last.
+		span := func(n int) (lo, hi int) {
+			lo, hi = rng.Intn(n), rng.Intn(n)
+			return min(lo, hi, max(n-2, 0)), max(lo, hi)
+		}
+		outcomes := map[string]int{}
+		for trial := 0; trial < 3000; trial++ {
+			// Points inside and a little outside the grid's bounds.
+			x := geom.Vec3{
+				X: bounds.Min.X + size.X*(1.2*rng.Float64()-0.1),
+				Y: bounds.Min.Y + size.Y*(1.2*rng.Float64()-0.1),
+				Z: bounds.Min.Z + size.Z*(1.2*rng.Float64()-0.1),
+			}
+			box := g.Full()
+			if trial%3 != 0 {
+				box.ILo, box.IHi = span(g.NI)
+				box.JLo, box.JHi = span(g.NJ)
+				box.KLo, box.KHi = span(g.NK)
+			}
+			// Starts in and out of range: the search clamps them.
+			start := [3]int{rng.Intn(g.NI+4) - 2, rng.Intn(g.NJ+4) - 2, rng.Intn(g.NK+4) - 2}
+			budget := rng.Intn(5) - 1
+			gi := rng.Intn(5)
+
+			blank(0.02)
+			want := refFindDonorLimited(g, gi, x, start, box, budget)
+			got := FindDonorLimited(g, gi, x, start, box, budget)
+			if !same(got, want) {
+				t.Fatalf("%s trial %d: FindDonorLimited %+v, reference %+v", name, trial, got, want)
+			}
+			switch {
+			case want.OK:
+				outcomes["donor"]++
+			case want.Exited:
+				outcomes["exit"]++
+			default:
+				outcomes["fail"]++
+			}
+			if ResolvesDirectly(g) {
+				continue
+			}
+			w := WalkLimited(g, gi, x, start, box, budget)
+			blank(0.3)
+			want = refFindDonorLimited(g, gi, x, start, box, budget)
+			if got := w.Resolve(g); !same(got, want) {
+				t.Fatalf("%s trial %d: walk resolved under a later IBlank %+v, reference %+v", name, trial, got, want)
+			}
+			if w.Contained && !want.OK {
+				outcomes["blanked"]++
+			}
+		}
+		for _, o := range []string{"donor", "exit", "fail", "blanked"} {
+			if outcomes[o] == 0 && !(o == "blanked" && ResolvesDirectly(g)) {
+				t.Errorf("%s: no trial ended in %q (%v)", name, o, outcomes)
+			}
 		}
 	}
 }

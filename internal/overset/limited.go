@@ -20,6 +20,27 @@ type LimitedResult struct {
 	Restarts int
 }
 
+// LimitedWalk is everything a limited donor search decides from coordinates
+// alone: it is a pure function of the grid's world coordinates, the point,
+// the start, the box and the budget, so it stays valid for as long as the
+// grid does not move. Only Resolve reads IBlank.
+type LimitedWalk struct {
+	// Contained reports that the walk ended in the cell holding the point;
+	// Donor is then that cell, a donor if Resolve finds it unblanked.
+	Contained bool
+	Donor     Donor
+	Steps     int
+	// Exited, ExitCell and Restarts are as in LimitedResult.
+	Exited   bool
+	ExitCell [3]int
+	Restarts int
+}
+
+// ResolvesDirectly reports whether donors in g are located without a walk
+// (cartesianLocate, which reads IBlank itself and has no coordinate part to
+// remember).
+func ResolvesDirectly(g *grid.Grid) bool { return g.Cartesian && !g.Moving }
+
 // FindDonorLimited is FindDonor restricted to donor cells whose base point
 // lies in box (one processor's subdomain). Cartesian grids resolve directly
 // and report an exit if the located cell is off-box. restartBudget bounds
@@ -27,7 +48,7 @@ type LimitedResult struct {
 // (each restart that leaves the box consumes one at the next server); the
 // Restarts field of the result reports how many were used locally.
 func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.IBox, restartBudget int) LimitedResult {
-	if g.Cartesian && !g.Moving {
+	if ResolvesDirectly(g) {
 		res := cartesianLocate(g, gi, x)
 		if res.OK && !box.Contains(res.Donor.I, res.Donor.J, res.Donor.K) {
 			return LimitedResult{
@@ -38,7 +59,27 @@ func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.
 		}
 		return LimitedResult{SearchResult: res}
 	}
+	return WalkLimited(g, gi, x, start, box, restartBudget).Resolve(g)
+}
 
+// Resolve applies the grid's current IBlank to a walk: a containing cell
+// with a hole corner is no donor (the walk's restarts are not reported for
+// a contained point, found or blanked).
+func (w LimitedWalk) Resolve(g *grid.Grid) LimitedResult {
+	res := LimitedResult{SearchResult: SearchResult{Steps: w.Steps}}
+	if w.Contained {
+		if cellIsField(g, w.Donor.I, w.Donor.J, w.Donor.K) {
+			res.Donor, res.OK = w.Donor, true
+		}
+		return res
+	}
+	res.Exited, res.ExitCell, res.Restarts = w.Exited, w.ExitCell, w.Restarts
+	return res
+}
+
+// WalkLimited is the coordinate part of FindDonorLimited on a grid that does
+// not resolve directly: the stencil walk from start, confined to box.
+func WalkLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.IBox, restartBudget int) LimitedWalk {
 	twoD := g.NK == 1
 	ni, nj, nk := g.NI, g.NJ, g.NK
 	maxI := ni - 2
@@ -66,9 +107,9 @@ func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.
 	// so a point that is simply not in this grid cannot bounce among
 	// subdomains indefinitely.
 	retries := 0
-	stuckAt := func(steps int) LimitedResult {
+	stuckAt := func(steps int) LimitedWalk {
 		if retries >= restartBudget {
-			return LimitedResult{SearchResult: SearchResult{Steps: steps}, Restarts: retries}
+			return LimitedWalk{Steps: steps, Restarts: retries}
 		}
 		retries++
 		denom := restartBudget + 1
@@ -84,15 +125,10 @@ func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.
 			jump[2] = (nk - 1) / 2
 		}
 		if !box.Contains(jump[0], jump[1], jump[2]) {
-			return LimitedResult{
-				SearchResult: SearchResult{Steps: steps},
-				Exited:       true,
-				ExitCell:     jump,
-				Restarts:     retries,
-			}
+			return LimitedWalk{Steps: steps, Exited: true, ExitCell: jump, Restarts: retries}
 		}
 		i, j, k = jump[0], jump[1], jump[2]
-		return LimitedResult{SearchResult: SearchResult{Steps: -1}} // sentinel: continue
+		return LimitedWalk{Steps: -1} // sentinel: continue
 	}
 
 	// A walk that keeps pressing against the grid's radial or axial extent
@@ -109,14 +145,12 @@ func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.
 		const tol = 1e-8
 		if conv && a >= -tol && a <= 1+tol && b >= -tol && b <= 1+tol &&
 			(twoD || c >= -tol && c <= 1+tol) {
-			if cellIsField(g, i, j, k) {
-				return LimitedResult{SearchResult: SearchResult{
-					Donor: Donor{Grid: gi, I: i, J: j, K: k,
-						A: clamp01(a), B: clamp01(b), C: clamp01(c)},
-					Steps: steps, OK: true,
-				}}
+			return LimitedWalk{
+				Contained: true,
+				Donor: Donor{Grid: gi, I: i, J: j, K: k,
+					A: clamp01(a), B: clamp01(b), C: clamp01(c)},
+				Steps: steps,
 			}
-			return LimitedResult{SearchResult: SearchResult{Steps: steps}}
 		}
 		di := walkStep(a)
 		dj := walkStep(b)
@@ -150,12 +184,7 @@ func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.
 				i, j, k = niNew, njNew, nkNew
 				steps++
 				if !box.Contains(i, j, k) {
-					return LimitedResult{
-						SearchResult: SearchResult{Steps: steps},
-						Exited:       true,
-						ExitCell:     [3]int{i, j, k},
-						Restarts:     retries,
-					}
+					return LimitedWalk{Steps: steps, Exited: true, ExitCell: [3]int{i, j, k}, Restarts: retries}
 				}
 				continue
 			}
@@ -168,5 +197,5 @@ func FindDonorLimited(g *grid.Grid, gi int, x geom.Vec3, start [3]int, box grid.
 			slides = 0
 		}
 	}
-	return LimitedResult{SearchResult: SearchResult{Steps: steps}, Restarts: retries}
+	return LimitedWalk{Steps: steps, Restarts: retries}
 }

@@ -38,7 +38,7 @@ const newtonIters = 4
 // periodic wrap in i. Valid donors require all cell corners to be field
 // points. Cartesian grids resolve directly without walking.
 func FindDonor(g *grid.Grid, gi int, x geom.Vec3, start [3]int) SearchResult {
-	if g.Cartesian && !g.Moving {
+	if ResolvesDirectly(g) {
 		return cartesianLocate(g, gi, x)
 	}
 	twoD := g.NK == 1
