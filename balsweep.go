@@ -82,7 +82,7 @@ func RunBalancerSweep(opt Options) ([]BalancerSweepRow, error) {
 						Case: c.mk(opt.Scale), Nodes: c.nodes, Machine: m,
 						Steps: steps, Fo: balancerSweepFo(name),
 						CheckInterval: 2, Balancer: name,
-						Faults: f.plan, Metrics: opt.Metrics,
+						Faults: f.plan, Metrics: opt.Metrics, Storage: opt.Storage,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("balancer sweep: %s on %s (%s, %s): %w",

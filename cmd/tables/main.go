@@ -45,7 +45,8 @@ func validateTablesFlags(scale float64, steps int, only string, figures, asJSON,
 		return tablesConfig{}, fmt.Errorf("-figures has no effect with -balancers; pick one output mode")
 	}
 	cfg := tablesConfig{
-		opt:       overd.Options{Scale: scale, Steps: steps, Log: logw},
+		// One slab store for every table of the invocation.
+		opt:       overd.Options{Scale: scale, Steps: steps, Log: logw, Storage: overd.NewStorage()},
 		figures:   figures,
 		asJSON:    asJSON,
 		balancers: balancers,

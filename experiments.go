@@ -23,6 +23,12 @@ type Options struct {
 	// Each run resets it, so after a table sweep it holds the last run's
 	// series; attaching it never changes virtual times or table values.
 	Metrics *MetricsRegistry
+	// Storage, when non-nil, is the slab store every run draws on
+	// (Config.Storage), so that sweeps run one after another reuse one
+	// another's block memory. Nil gives each RunTableN / RunBalancerSweep
+	// call a store of its own for its rows, and EmitTablesJSON one for the
+	// tables it runs. It never changes a table value.
+	Storage *Storage
 }
 
 func (o Options) withDefaults() Options {
@@ -31,6 +37,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Steps <= 0 {
 		o.Steps = 4
+	}
+	if o.Storage == nil {
+		o.Storage = NewStorage()
 	}
 	return o
 }
@@ -105,7 +114,7 @@ func runPerfTable(title string, mk func(float64) *Case, nodes []int, opt Options
 			c := mk(opt.Scale)
 			res, err := Run(Config{
 				Case: c, Nodes: n, Machine: m, Steps: opt.Steps,
-				Fo: math.Inf(1), Metrics: opt.Metrics,
+				Fo: math.Inf(1), Metrics: opt.Metrics, Storage: opt.Storage,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s on %d %s nodes: %w", title, n, m.Name, err)
@@ -115,11 +124,7 @@ func runPerfTable(title string, mk func(float64) *Case, nodes []int, opt Options
 	}
 	base2 := results["SP2"][0]
 	baseS := results["SP"][0]
-	np := 0
-	{
-		c := mk(opt.Scale)
-		np = c.Sys.NPoints()
-	}
+	np := base2.Config.Case.Sys.NPoints()
 	for i, n := range nodes {
 		r2 := results["SP2"][i]
 		rs := results["SP"][i]
@@ -208,7 +213,7 @@ func RunTable2(opt Options) ([]ScaleupRow, error) {
 			opt.logf("Table 2: %s on %s...", rw.name, m.Name)
 			c := OscillatingAirfoil(rw.scale)
 			res, err := Run(Config{Case: c, Nodes: rw.nodes, Machine: m,
-				Steps: opt.Steps, Fo: math.Inf(1), Metrics: opt.Metrics})
+				Steps: opt.Steps, Fo: math.Inf(1), Metrics: opt.Metrics, Storage: opt.Storage})
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +262,7 @@ func RunTable5(opt Options) ([]Table5Row, error) {
 	run := func(nodes int, fo float64) (*Result, error) {
 		c := StoreSeparation(opt.Scale)
 		return Run(Config{Case: c, Nodes: nodes, Machine: SP2(), Steps: steps,
-			Fo: fo, CheckInterval: 3, Metrics: opt.Metrics})
+			Fo: fo, CheckInterval: 3, Metrics: opt.Metrics, Storage: opt.Storage})
 	}
 	var out []Table5Row
 	var baseStat, baseDyn *Result
@@ -337,7 +342,7 @@ func runTable5Faulted(opt Options, nodes []int) ([]Table5FaultedRow, error) {
 	run := func(n int, fo float64, plan *FaultPlan) (*Result, error) {
 		c := StoreSeparation(opt.Scale)
 		return Run(Config{Case: c, Nodes: n, Machine: SP2(), Steps: steps,
-			Fo: fo, CheckInterval: 3, Faults: plan, Metrics: opt.Metrics})
+			Fo: fo, CheckInterval: 3, Faults: plan, Metrics: opt.Metrics, Storage: opt.Storage})
 	}
 	plan := Table5FaultPlan()
 	var out []Table5FaultedRow
@@ -398,7 +403,7 @@ func RunTable6(opt Options) ([]Table6Row, error) {
 			opt.logf("Table 6: %d nodes on %s...", n, m.Name)
 			c := StoreSeparation(opt.Scale)
 			res, err := Run(Config{Case: c, Nodes: n, Machine: m,
-				Steps: opt.Steps, Fo: math.Inf(1), Metrics: opt.Metrics})
+				Steps: opt.Steps, Fo: math.Inf(1), Metrics: opt.Metrics, Storage: opt.Storage})
 			if err != nil {
 				return nil, err
 			}

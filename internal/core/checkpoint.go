@@ -98,7 +98,7 @@ func (st *runState) capture(r *par.Rank, stepDone int) *checkpoint {
 // world starts: grid placements and body state roll back to the
 // checkpointed time level, the timestep loop resumes at ck.step with the
 // original frozen dt, and the conserved field is reloaded into the new
-// partition's blocks once they are built (see loadQ).
+// partition's blocks as they are built (see loadQ).
 func (st *runState) restoreFrom(ck *checkpoint) {
 	c := st.cfg.Case
 	for gi, g := range c.Sys.Grids {
@@ -115,24 +115,22 @@ func (st *runState) restoreFrom(ck *checkpoint) {
 	st.ck = ck
 }
 
-// loadQ reloads the checkpointed conserved field into the current plan's
-// freshly built blocks (rank 0, during preprocessing while peers wait at a
-// barrier). Halo and fringe values are refreshed by the preprocessing
-// exchange that follows; hole interiors stay at freestream and are recut.
-func (st *runState) loadQ() {
-	c := st.cfg.Case
-	for rank, part := range st.plan.Parts {
-		b := st.blocks[rank]
-		g := c.Sys.Grids[part.Grid]
-		src := st.restoreQ[part.Grid]
-		for k := part.Box.KLo; k <= part.Box.KHi; k++ {
-			for j := part.Box.JLo; j <= part.Box.JHi; j++ {
-				for i := part.Box.ILo; i <= part.Box.IHi; i++ {
-					li, lj, lk := b.Local(i, j, k)
-					var q [5]float64
-					copy(q[:], src[5*g.Idx(i, j, k):])
-					b.SetQ(b.LIdx(li, lj, lk), q)
-				}
+// loadQ reloads the checkpointed conserved field into rank's freshly built
+// block (every rank, during preprocessing). Halo and fringe values are
+// refreshed by the preprocessing exchange that follows; hole interiors stay
+// at freestream and are recut.
+func (st *runState) loadQ(rank int) {
+	part := st.plan.Parts[rank]
+	b := st.blocks[rank]
+	g := st.cfg.Case.Sys.Grids[part.Grid]
+	src := st.restoreQ[part.Grid]
+	for k := part.Box.KLo; k <= part.Box.KHi; k++ {
+		for j := part.Box.JLo; j <= part.Box.JHi; j++ {
+			for i := part.Box.ILo; i <= part.Box.IHi; i++ {
+				li, lj, lk := b.Local(i, j, k)
+				var q [5]float64
+				copy(q[:], src[5*g.Idx(i, j, k):])
+				b.SetQ(b.LIdx(li, lj, lk), q)
 			}
 		}
 	}

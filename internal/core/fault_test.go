@@ -86,6 +86,37 @@ func TestCrashRestartIntegration(t *testing.T) {
 	}
 }
 
+// What a crashed attempt is charged for — each survivor's flops and rank 0's
+// module and wait clocks when the poison reaches them — is host timing today
+// (ROADMAP, "Oracles" item 4). Un-skip once the accounting is snapshotted at
+// the top of the crash step, and drop the carve-out in runStored with it.
+func TestCrashedAttemptAccountingDeterministic(t *testing.T) {
+	t.Skip("a crashed attempt's charges depend on host timing; see ROADMAP Oracles (4)")
+	mk := func() Config {
+		cfg := smallAirfoil(5, math.Inf(1), 8)
+		cfg.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 2, Step: 5}}}
+		cfg.CheckpointEvery = 3
+		return cfg
+	}
+	charges := func(r *Result) [9]float64 {
+		return [9]float64{r.Flops, r.FlowTime, r.MotionTime, r.ConnectTime, r.BalanceTime,
+			r.FlowWaitTime, r.MotionWaitTime, r.ConnectWaitTime, r.BalanceWaitTime}
+	}
+	want, err := Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		got, err := Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if charges(got) != charges(want) {
+			t.Fatalf("run %d: charges %v, first run %v", i, charges(got), charges(want))
+		}
+	}
+}
+
 // Without checkpointing the restart re-executes from step 0.
 func TestCrashWithoutCheckpointRestartsFromZero(t *testing.T) {
 	cfg := smallAirfoil(4, math.Inf(1), 4)

@@ -18,7 +18,6 @@ import (
 	"overd/internal/fault"
 	"overd/internal/flow"
 	"overd/internal/geom"
-	"overd/internal/grid"
 	"overd/internal/machine"
 	"overd/internal/metrics"
 	"overd/internal/par"
@@ -59,6 +58,12 @@ type Config struct {
 	// the job service may vary it per job without perturbing the
 	// content-addressed result cache.
 	Workers int
+	// Storage, when non-nil, is where the run takes the memory its blocks
+	// are built in and where it leaves that memory for the next run (see
+	// Storage). Like Workers it is a host-side resource control only: nil —
+	// allocate, then drop — and any Storage, whatever it held before, yield
+	// bit-identical results. Result.Config does not keep it.
+	Storage *Storage
 	// Trace, when non-nil, records every rank's virtual-time events for
 	// wait/idle attribution, critical-path analysis, and Chrome trace
 	// export (see package trace). Nil adds no cost and changes no times.
@@ -277,6 +282,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// The slab store stays out of the run's own copy of the configuration:
+	// no rank reaches it but through runState, and the Result holds none.
+	storage := cfg.Storage
+	cfg.Storage = nil
 	c := cfg.Case
 	sizes := c.GridSizes()
 	dims := c.GridDims()
@@ -348,6 +357,8 @@ func Run(cfg Config) (*Result, error) {
 			world.SetFaults(eng)
 		}
 		st := newRunState(cfg, plan)
+		st.storage = storage
+		st.layoutBlocks()
 		st.eng, st.ckEvery = eng, ckEvery
 		st.balInput = input
 		if sb, ok := bal.(balance.StepBalancer); ok && sb.Active() {
@@ -361,6 +372,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		ranks, err := world.RunErr(func(r *par.Rank) { st.rankMain(r) })
+		// The last reader of the blocks is finish (sampling); after it the
+		// attempt's slab goes back, however the attempt ended.
+		var done *Result
+		if err == nil && st.stopErr == nil {
+			done = st.finish()
+		}
+		storage.put(st.slab)
 		for _, rk := range ranks {
 			rec.dropped += rk.Dropped
 			rec.retries += rk.Retries
@@ -370,7 +388,7 @@ func Run(cfg Config) (*Result, error) {
 			if st.stopErr != nil {
 				return nil, &InterruptError{Step: st.stopStep, Err: st.stopErr}
 			}
-			res := rec.merge(st.finish())
+			res := rec.merge(done)
 			rollupMetrics(cfg, res)
 			return res, nil
 		}
@@ -501,6 +519,13 @@ type runState struct {
 	blocks  []*flow.Block
 	solvers []*dcf.Solver
 
+	// The blocks' memory: every block of the current plan lives in its
+	// range (layout) of one slab taken from storage, which may be nil.
+	// Written by layoutBlocks only.
+	storage *Storage
+	layout  *blockLayout
+	slab    []float64
+
 	// World-shared per-rank envelope arenas, attached to every block and
 	// solver (including post-repartition rebuilds) so hot-path envelope
 	// reuse never contends across ranks at GOMAXPROCS > 1.
@@ -568,28 +593,4 @@ func dcfParts(plan *balance.Plan) []dcf.Part {
 		parts[i] = dcf.Part{Grid: p.Grid, Rank: p.Rank, Box: p.Box}
 	}
 	return parts
-}
-
-// buildBlocks constructs every rank's block for the current plan; called by
-// rank 0 between barriers (block construction reads shared grid geometry).
-func (st *runState) buildBlocks() {
-	c := st.cfg.Case
-	for gi := range c.Sys.Grids {
-		var boxes []grid.IBox
-		var ranks []int
-		for rank, part := range st.plan.Parts {
-			if part.Grid == gi {
-				boxes = append(boxes, part.Box)
-				ranks = append(ranks, rank)
-			}
-		}
-		blks := flow.BuildBlocks(c.Sys.Grids[gi], boxes, ranks, c.FS)
-		for i, rk := range ranks {
-			if c.ViscousAll {
-				blks[i].SetViscousDirs([3]bool{true, true, true})
-			}
-			blks[i].UseArenas(st.flowAr)
-			st.blocks[rk] = blks[i]
-		}
-	}
 }

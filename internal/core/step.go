@@ -17,13 +17,11 @@ func (st *runState) rankMain(r *par.Rank) {
 
 	// ---- Preprocessing (excluded from statistics, like the paper's). ----
 	r.SetPhase(par.PhaseOther)
-	if r.ID == 0 {
-		st.buildBlocks()
-		if st.restoreQ != nil {
-			// Restarting after an injected crash: reload the checkpointed
-			// conserved field into the new partition's blocks.
-			st.loadQ()
-		}
+	st.buildBlock(r.ID)
+	if st.restoreQ != nil {
+		// Restarting after an injected crash: reload the checkpointed
+		// conserved field into the new partition's block.
+		st.loadQ(r.ID)
 	}
 	r.Barrier()
 	st.solvers[r.ID] = dcf.NewSolver(c.Overset, dcfParts(st.plan), r.ID)
@@ -369,7 +367,7 @@ func (st *runState) balanceStep(r *par.Rank, step int) {
 func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 	oldBlocks := make([]*flow.Block, len(st.blocks))
 	copy(oldBlocks, st.blocks)
-	oldPlan := st.plan
+	oldPlan, oldSlab := st.plan, st.slab
 	r.Barrier()
 	if r.ID == 0 {
 		st.plan = newPlan
@@ -377,12 +375,13 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 		// The shipped volume, from box intersections: host-side, so the
 		// accounting itself costs no collective.
 		st.movedPoints += balance.MovedPoints(oldPlan, newPlan)
-		st.buildBlocks()
+		st.layoutBlocks()
 	}
 	r.Barrier()
 
-	// Copy conserved data into my new block from the old owners, and
-	// charge the modeled redistribution traffic.
+	// Build my new block in the new slab, copy conserved data into it from
+	// the old owners, and charge the modeled redistribution traffic.
+	st.buildBlock(r.ID)
 	b := st.blocks[r.ID]
 	part := st.plan.Parts[r.ID]
 	moved := 0
@@ -408,6 +407,10 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 	st.solvers[r.ID] = dcf.NewSolver(st.cfg.Case.Overset, dcfParts(st.plan), r.ID)
 	st.solvers[r.ID].UseArenas(st.dcfAr)
 	r.Barrier()
+	if r.ID == 0 {
+		// Every rank is done reading the old blocks.
+		st.storage.put(oldSlab)
+	}
 	// Re-establish connectivity under the new partition so the next flow
 	// step has valid fringe exchange lists.
 	st.solvers[r.ID].Solve(r)

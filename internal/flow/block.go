@@ -74,36 +74,84 @@ type Block struct {
 	// (see UseArenas). Nil falls back to the process-global pools.
 	ar *Arenas
 
+	// store is the part of the memory the block was built in (see StoreLen)
+	// not yet carved into arrays: the scratch, until ensureScratch takes it.
+	store []float64
+
 	scr *scratch
 }
 
-// NewBlock allocates the solver state for the given owned box of grid g.
+// Floats per local point that a block carves from its store: the solver
+// state taken at construction (Q, DQ, RHS, XL…ZT, Met, Jac; MuT on turbulent
+// grids adds one) and the scratch taken at first use (fw, pr, prim, sig,
+// rhs0, cpAll).
+const (
+	stateFloats   = 5 + 5 + 5 + 6 + 9 + 1
+	scratchFloats = 5 + 1 + 4 + 3 + 5 + 5
+)
+
+// localDims returns the local array dims, ghosts included, of the block
+// over box own of grid g.
+func localDims(g *grid.Grid, own grid.IBox) (mi, mj, mk int) {
+	mi = own.NI() + 2*Halo
+	mj = own.NJ() + 2*Halo
+	mk = own.NK() + 2*Halo
+	if g.NK == 1 {
+		mk = 1
+	}
+	return mi, mj, mk
+}
+
+// StoreLen returns the size in float64 values of the store a block over box
+// own of grid g is built in — the solver state it carves at construction
+// plus the scratch it carves at first use — so a caller can lay out one
+// piece of memory for many blocks before any is built. An invalid box, which
+// no block can be built over, takes nothing.
+func StoreLen(g *grid.Grid, own grid.IBox) int {
+	if !own.Valid() {
+		return 0
+	}
+	mi, mj, mk := localDims(g, own)
+	per := stateFloats + scratchFloats
+	if g.Turbulent {
+		per++
+	}
+	return per * mi * mj * mk
+}
+
+// NewBlock allocates the solver state for the given owned box of grid g, in
+// a store of its own.
 func NewBlock(g *grid.Grid, own grid.IBox, fs Freestream) *Block {
+	return newBlock(g, own, fs, make([]float64, StoreLen(g, own)))
+}
+
+// newBlock builds the block inside store, which must hold exactly
+// StoreLen(g, own) zeros and which the block keeps.
+func newBlock(g *grid.Grid, own grid.IBox, fs Freestream, store []float64) *Block {
 	if !own.Valid() {
 		panic(fmt.Sprintf("flow: invalid owned box %v", own))
 	}
 	b := &Block{G: g, Own: own, FS: fs, TwoD: g.NK == 1}
-	b.MI = own.NI() + 2*Halo
-	b.MJ = own.NJ() + 2*Halo
-	b.MK = own.NK() + 2*Halo
-	if b.TwoD {
-		b.MK = 1
-	}
+	b.MI, b.MJ, b.MK = localDims(g, own)
 	n := b.MI * b.MJ * b.MK
-	b.Q = make([]float64, 5*n)
-	b.DQ = make([]float64, 5*n)
-	b.RHS = make([]float64, 5*n)
-	b.XL = make([]float64, n)
-	b.YL = make([]float64, n)
-	b.ZL = make([]float64, n)
-	b.XT = make([]float64, n)
-	b.YT = make([]float64, n)
-	b.ZT = make([]float64, n)
-	b.Met = make([]float64, 9*n)
-	b.Jac = make([]float64, n)
+	if want := StoreLen(g, own); len(store) != want {
+		panic(fmt.Sprintf("flow: store of %d values for a block that takes %d", len(store), want))
+	}
+	b.store = store[:len(store):len(store)]
+	b.Q = b.take(5 * n)
+	b.DQ = b.take(5 * n)
+	b.RHS = b.take(5 * n)
+	b.XL = b.take(n)
+	b.YL = b.take(n)
+	b.ZL = b.take(n)
+	b.XT = b.take(n)
+	b.YT = b.take(n)
+	b.ZT = b.take(n)
+	b.Met = b.take(9 * n)
+	b.Jac = b.take(n)
 	b.IBl = make([]int8, n)
 	if g.Turbulent {
-		b.MuT = make([]float64, n)
+		b.MuT = b.take(n)
 	}
 	for d := 0; d < 3; d++ {
 		b.Nbr[d][0].Rank = -1
@@ -112,6 +160,14 @@ func NewBlock(g *grid.Grid, own grid.IBox, fs Freestream) *Block {
 	b.RefreshGeometry(0)
 	b.InitFreestream()
 	return b
+}
+
+// take carves the next n values off the block's store; taking more than
+// StoreLen in all panics.
+func (b *Block) take(n int) []float64 {
+	v := b.store[:n:n]
+	b.store = b.store[n:]
+	return v
 }
 
 // NPointsLocal returns the local array size including ghosts.
@@ -286,13 +342,10 @@ func (b *Block) computeMetrics() {
 				}
 				// m columns are x_ξ, x_η, x_ζ; rows x,y,z. Its inverse has
 				// rows (ξx ξy ξz), (ηx ηy ηz), (ζx ζy ζz).
-				det := m.Det()
+				// Inverse returns the identity for a singular m.
+				inv, det, _ := m.InverseDet()
 				if det < 1e-12 {
 					det = 1e-12 // degenerate cell; metrics stay bounded
-				}
-				inv, ok := m.Inverse()
-				if !ok {
-					inv = geom.Identity3()
 				}
 				jac := 1 / det
 				b.Jac[n] = jac

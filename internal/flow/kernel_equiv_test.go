@@ -677,3 +677,193 @@ func refUnpackFace(b *Block, q []float64, dim, side int, data []float64) {
 		}
 	}
 }
+
+// refComputeMetrics is the previous computeMetrics: the determinant taken
+// by Det and once more inside Inverse.
+func refComputeMetrics(b *Block, met, jacs []float64) {
+	for lk := 0; lk < b.MK; lk++ {
+		for lj := 0; lj < b.MJ; lj++ {
+			for li := 0; li < b.MI; li++ {
+				n := b.LIdx(li, lj, lk)
+				var m geom.Mat3
+				m[0][0], m[1][0], m[2][0] = b.diff(li, lj, lk, 0)
+				m[0][1], m[1][1], m[2][1] = b.diff(li, lj, lk, 1)
+				if b.TwoD {
+					m[0][2], m[1][2], m[2][2] = 0, 0, 1
+				} else {
+					m[0][2], m[1][2], m[2][2] = b.diff(li, lj, lk, 2)
+				}
+				det := m.Det()
+				if det < 1e-12 {
+					det = 1e-12
+				}
+				inv, ok := m.Inverse()
+				if !ok {
+					inv = geom.Identity3()
+				}
+				jac := 1 / det
+				jacs[n] = jac
+				for r := 0; r < 3; r++ {
+					for c := 0; c < 3; c++ {
+						met[9*n+3*r+c] = inv[r][c] / jac
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestComputeMetricsEquivalence holds RefreshGeometry's coordinates, metrics
+// and Jacobians to the two-determinant reference, bit for bit, on a moving
+// 3-D block, a periodic O-grid split across its seam, a 2-D block and a
+// Cartesian block with collapsed (singular and inverted) cells.
+func TestComputeMetricsEquivalence(t *testing.T) {
+	fs := Freestream{Mach: 0.8, Alpha: 0.02, Re: 1e6}
+	body := func() *grid.Grid {
+		g := gridgen.BodyOfRevolutionGrid(0, "store", 20, 12, 10, gridgen.OgiveProfile(3, 0.25), 1.5)
+		g.Moving = true
+		return g
+	}
+	collapsed := func() *grid.Grid {
+		g := gridgen.CartesianBox(0, "bg", 10, 9, 8,
+			geom.Box{Min: geom.Vec3{X: -2, Y: -2, Z: -2}, Max: geom.Vec3{X: 2, Y: 2, Z: 2}})
+		// A pinched plane makes the cells next to it singular; a folded one
+		// gives a negative determinant.
+		for k := 0; k < g.NK; k++ {
+			for j := 0; j < g.NJ; j++ {
+				g.X[g.Idx(4, j, k)] = g.X[g.Idx(3, j, k)]
+				g.X[g.Idx(5, j, k)] = g.X[g.Idx(3, j, k)]
+				g.X[g.Idx(8, j, k)] = g.X[g.Idx(6, j, k)]
+			}
+		}
+		return g
+	}
+	cases := []struct {
+		name string
+		g    *grid.Grid
+		own  func(g *grid.Grid) grid.IBox
+		move bool
+	}{
+		{"moving-3d", body(), func(g *grid.Grid) grid.IBox { return g.Full() }, true},
+		{"moving-3d-part", body(), func(g *grid.Grid) grid.IBox {
+			return grid.IBox{ILo: 12, IHi: g.NI - 1, JLo: 0, JHi: 6, KLo: 3, KHi: g.NK - 1}
+		}, true},
+		{"ogrid-2d-seam", gridgen.AirfoilOGrid(0, "airfoil", 64, 24, 3), func(g *grid.Grid) grid.IBox {
+			return grid.IBox{ILo: 0, IHi: 20, JLo: 0, JHi: g.NJ - 1, KLo: 0, KHi: 0}
+		}, false},
+		{"ogrid-2d-whole", gridgen.AirfoilOGrid(0, "airfoil", 48, 20, 2.5), func(g *grid.Grid) grid.IBox { return g.Full() }, false},
+		{"cartesian-3d-collapsed", collapsed(), func(g *grid.Grid) grid.IBox { return g.Full() }, false},
+	}
+	for _, tc := range cases {
+		own := tc.own(tc.g)
+		b := NewBlock(tc.g, own, fs)
+		if tc.move {
+			tc.g.ApplyTransform(geom.Transform{
+				R: geom.RotZ(0.07).Mul(geom.RotX(-0.03)), T: geom.Vec3{X: 0.11, Y: -0.05, Z: 0.02}})
+			b.RefreshGeometry(0.01)
+		}
+		n := b.NPointsLocal()
+		for p := 0; p < n; p++ {
+			i, j, k := b.GlobalFromLocal(p%b.MI, p/b.MI%b.MJ, p/(b.MI*b.MJ))
+			if own.Contains(i, j, k) {
+				if at := tc.g.At(i, j, k); b.XL[p] != at.X || b.YL[p] != at.Y || b.ZL[p] != at.Z {
+					t.Fatalf("%s: local coordinates of (%d,%d,%d) differ from the grid's", tc.name, i, j, k)
+				}
+			}
+		}
+		met, jac := make([]float64, 9*n), make([]float64, n)
+		refComputeMetrics(b, met, jac)
+		cmpBits(t, tc.name+" Met", b.Met, met)
+		cmpBits(t, tc.name+" Jac", b.Jac, jac)
+		clamped := 0
+		for _, j := range jac {
+			if j == 1/1e-12 {
+				clamped++
+			}
+		}
+		if tc.name == "cartesian-3d-collapsed" && clamped == 0 {
+			t.Errorf("%s: no point took the degenerate-cell path", tc.name)
+		}
+	}
+}
+
+// TestStoreLenIsWhatABlockTakes builds blocks in stores of exactly StoreLen
+// values between guard words: construction plus first-use scratch must carve
+// all of it, hand out no value twice and write nothing outside it.
+func TestStoreLenIsWhatABlockTakes(t *testing.T) {
+	fs := Freestream{Mach: 0.8, Alpha: 0.02, Re: 1e6}
+	turbulent := gridgen.AirfoilOGrid(0, "airfoil", 64, 24, 3)
+	turbulent.Turbulent = true
+	body := func() *grid.Grid {
+		return gridgen.BodyOfRevolutionGrid(0, "store", 20, 12, 10, gridgen.OgiveProfile(3, 0.25), 1.5)
+	}
+	turbulent3 := body()
+	turbulent3.Turbulent = true
+	for _, tc := range []struct {
+		name string
+		g    *grid.Grid
+	}{
+		{"2d-turbulent", turbulent},
+		{"2d-laminar", gridgen.AirfoilOGrid(0, "airfoil", 48, 20, 2.5)},
+		{"3d-turbulent", turbulent3},
+		{"3d-laminar", body()},
+	} {
+		g := tc.g
+		boxes := []grid.IBox{g.Full()}
+		boxes[0].IHi = g.NI/2 - 1
+		boxes = append(boxes, g.Full())
+		boxes[1].ILo = g.NI / 2
+		want := StoreLen(g, boxes[1])
+		const guard = 16
+		mem := make([]float64, guard+want+guard)
+		for i := range mem {
+			mem[i] = math.NaN()
+		}
+		b := BuildBlock(g, boxes, []int{0, 1}, 1, fs, mem[guard:guard+want])
+		if (b.MuT != nil) != g.Turbulent {
+			t.Fatalf("%s: MuT allocated = %v on a grid with Turbulent = %v", tc.name, b.MuT != nil, g.Turbulent)
+		}
+		b.ensureScratch()
+		if len(b.store) != 0 {
+			t.Errorf("%s: %d of %d values left in the store", tc.name, len(b.store), want)
+		}
+		s := b.scr
+		arrays := [][]float64{b.Q, b.DQ, b.RHS, b.XL, b.YL, b.ZL, b.XT, b.YT, b.ZT, b.Met, b.Jac, b.MuT,
+			s.fw, s.pr, s.prim, s.sig[0], s.sig[1], s.sig[2], s.rhs0, s.cpAll}
+		total := 0
+		for _, a := range arrays {
+			total += len(a)
+			if cap(a) != len(a) {
+				t.Errorf("%s: an array of %d values can grow to %d", tc.name, len(a), cap(a))
+			}
+		}
+		if total != want {
+			t.Errorf("%s: arrays hold %d values, StoreLen reports %d", tc.name, total, want)
+		}
+		// Disjoint and inside: mark every array, then every store value
+		// must carry exactly one mark and every guard word none.
+		for i := range mem {
+			mem[i] = 0
+		}
+		for _, a := range arrays {
+			for i := range a {
+				a[i]++
+			}
+		}
+		for i, v := range mem {
+			if in := i >= guard && i < guard+want; v != map[bool]float64{false: 0, true: 1}[in] {
+				t.Fatalf("%s: value %d of the store region is covered %v times", tc.name, i-guard, v)
+			}
+		}
+		if b.Nbr[0][0].Rank != 0 || b.Nbr[0][1].Rank != 0 || !b.Nbr[0][1].Wrap {
+			t.Errorf("%s: BuildBlock wired i neighbors %+v", tc.name, b.Nbr[0])
+		}
+		// NewBlock brings a store of exactly that size and uses it up.
+		self := NewBlock(g, boxes[1], fs)
+		state := len(self.Q) + len(self.DQ) + len(self.RHS) + 6*len(self.XL) + len(self.Met) + len(self.Jac) + len(self.MuT)
+		self.ensureScratch()
+		if state+len(self.scr.fw)+len(self.scr.pr)+len(self.scr.prim)+3*len(self.scr.sig[0])+len(self.scr.rhs0)+len(self.scr.cpAll) != want || len(self.store) != 0 {
+			t.Errorf("%s: NewBlock does not take StoreLen values (%d left in its store)", tc.name, len(self.store))
+		}
+	}
+}

@@ -6,7 +6,8 @@ import (
 	"overd/internal/grid"
 )
 
-// Scratch arrays allocated lazily by ensureScratch.
+// Scratch arrays set up lazily by ensureScratch, the float ones carved from
+// the remainder of the block's store.
 type scratch struct {
 	fw   []float64    // per-direction flux workspace (5 per point)
 	pr   []float64    // pressure field
@@ -39,16 +40,16 @@ func (b *Block) ensureScratch() {
 	}
 	n := b.NPointsLocal()
 	s := &scratch{
-		fw:    make([]float64, 5*n),
-		pr:    make([]float64, n),
-		prim:  make([]float64, 4*n),
+		fw:    b.take(5 * n),
+		pr:    b.take(n),
+		prim:  b.take(4 * n),
 		upd:   make([]bool, n),
 		stv:   make([]bool, n),
-		rhs0:  make([]float64, 5*n),
-		cpAll: make([]float64, 5*n),
+		rhs0:  b.take(5 * n),
+		cpAll: b.take(5 * n),
 	}
 	for d := 0; d < 3; d++ {
-		s.sig[d] = make([]float64, n)
+		s.sig[d] = b.take(n)
 	}
 	b.scr = s
 	b.classifyPoints()

@@ -108,9 +108,16 @@ func (m Mat3) Det() float64 {
 // Inverse returns m⁻¹ and reports whether m is invertible. A singular matrix
 // (|det| below 1e-300) returns the identity and false.
 func (m Mat3) Inverse() (Mat3, bool) {
+	r, _, ok := m.InverseDet()
+	return r, ok
+}
+
+// InverseDet is Inverse that also returns the determinant it evaluated, for
+// callers that need both.
+func (m Mat3) InverseDet() (Mat3, float64, bool) {
 	d := m.Det()
 	if math.Abs(d) < 1e-300 {
-		return Identity3(), false
+		return Identity3(), d, false
 	}
 	inv := 1 / d
 	var r Mat3
@@ -123,7 +130,7 @@ func (m Mat3) Inverse() (Mat3, bool) {
 	r[2][0] = (m[1][0]*m[2][1] - m[1][1]*m[2][0]) * inv
 	r[2][1] = (m[0][1]*m[2][0] - m[0][0]*m[2][1]) * inv
 	r[2][2] = (m[0][0]*m[1][1] - m[0][1]*m[1][0]) * inv
-	return r, true
+	return r, d, true
 }
 
 // RotX returns the rotation matrix about the x axis by angle a (radians).

@@ -184,7 +184,13 @@ func TestStatusOverview(t *testing.T) {
 	_, bad := postJob(t, ts, `{"case":"airfoil","steps":3}`, "acme")
 	waitDone(t, ts, bad.ID)
 
+	// A job's terminal status is published before its span record reaches
+	// the flight recorder, so the second record may still be on its way.
 	st := getStatus(t, ts)
+	for deadline := time.Now().Add(20 * time.Second); st.FlightRecorder.Resident != 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		st = getStatus(t, ts)
+	}
 	if st.Service != "overd-job-service" {
 		t.Errorf("service = %q", st.Service)
 	}

@@ -327,7 +327,7 @@ func NewServer(cfg Config) (*Server, error) {
 		},
 	})
 	s.jobH = s.reg.Histogram("overd_serve_job_seconds", metrics.Opts{
-		Help: "end-to-end wall-clock seconds per job, admission to terminal state (span layer)",
+		Help:   "end-to-end wall-clock seconds per job, admission to terminal state (span layer)",
 		Global: true, Buckets: wallBuckets, Labels: []metrics.Label{outcomeL},
 	})
 	s.depthG = g("overd_serve_queue_depth", "jobs admitted and waiting for a worker")

@@ -185,8 +185,9 @@ func EmitRunJSON(w io.Writer, res *Result) error {
 // and writes their rows as JSON lines. This is the single code path behind
 // `tables -json` and the bit-identity golden test: any change to the
 // simulation that alters a virtual clock, a table row, or a figure point
-// changes these bytes.
+// changes these bytes. The tables share one Storage.
 func EmitTablesJSON(w io.Writer, opt Options, want map[string]bool) error {
+	opt = opt.withDefaults()
 	if want["1"] {
 		t, err := RunTable1(opt)
 		if err != nil {
