@@ -49,48 +49,41 @@ func balancerSweepFo(name string) float64 {
 // itself deterministic, so repeated sweeps are byte-identical once
 // rendered.
 func RunBalancerSweep(opt Options) ([]BalancerSweepRow, error) {
-	opt = opt.withDefaults()
-	steps := opt.Steps
-	if steps < 4 {
-		steps = 4 // the step balancers need check intervals to fire
-	}
+	s := newSweep(opt)
+	steps := max(s.opt.Steps, 4) // the step balancers need check intervals to fire
 	cases := []struct {
 		name  string
-		mk    func(float64) *Case
 		nodes int
 	}{
-		{"airfoil", OscillatingAirfoil, 12},
-		{"storesep", StoreSeparation, 16},
+		{"airfoil", 12},
+		{"storesep", 16},
 	}
 	machines := []Machine{SP2(), SP()}
-	faults := []struct {
-		name string
-		plan *FaultPlan
-	}{
-		{"none", nil},
-		{"straggler", Table5FaultPlan()},
-	}
+	faults := []string{"none", "straggler"}
 
 	var out []BalancerSweepRow
 	for _, c := range cases {
-		for _, m := range machines {
-			for _, f := range faults {
-				for _, name := range BalancerNames() {
-					opt.logf("balancer sweep: %s on %s, fault %s, balancer %s...",
-						c.name, m.Name, f.name, name)
-					res, err := Run(Config{
-						Case: c.mk(opt.Scale), Nodes: c.nodes, Machine: m,
-						Steps: steps, Fo: balancerSweepFo(name),
-						CheckInterval: 2, Balancer: name,
-						Faults: f.plan, Metrics: opt.Metrics, Storage: opt.Storage,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("balancer sweep: %s on %s (%s, %s): %w",
-							c.name, m.Name, f.name, name, err)
-					}
-					out = append(out, BalancerSweepRow{
-						Balancer: name, Case: c.name, Machine: m.Name,
-						Fault: f.name, Nodes: c.nodes,
+		// One run serves a cell on both machines (re-timed where the balancer
+		// and the fault plan allow); the rows go out machine by machine.
+		rows := make([][]BalancerSweepRow, len(machines))
+		for _, f := range faults {
+			for _, name := range BalancerNames() {
+				spec := runSpec{
+					mk: c.name, scale: s.opt.Scale, nodes: c.nodes, steps: steps,
+					fo: balancerSweepFo(name), check: 2, balancer: name,
+				}
+				if f != "none" {
+					spec.faults = f
+				}
+				rs, err := s.run(fmt.Sprintf("balancer sweep: %s, fault %s, balancer %s", c.name, f, name),
+					spec, machines...)
+				if err != nil {
+					return nil, err
+				}
+				for i, res := range rs {
+					rows[i] = append(rows[i], BalancerSweepRow{
+						Balancer: name, Case: c.name, Machine: machines[i].Name,
+						Fault: f, Nodes: c.nodes,
 						TotalTime:   res.TotalTime,
 						TimePerStep: res.TimePerStep(),
 						PctConnect:  res.PctConnect(),
@@ -101,6 +94,9 @@ func RunBalancerSweep(opt Options) ([]BalancerSweepRow, error) {
 					})
 				}
 			}
+		}
+		for _, r := range rows {
+			out = append(out, r...)
 		}
 	}
 	return out, nil

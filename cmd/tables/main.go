@@ -110,70 +110,7 @@ func main() {
 		return
 	}
 
-	if cfg.want["1"] {
-		t, err := overd.RunTable1(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintPerfTable(os.Stdout, t)
-		if cfg.figures {
-			overd.FprintSpeedupFigure(os.Stdout, t, "SP2") // Fig. 5 left
-			overd.FprintSpeedupFigure(os.Stdout, t, "SP")  // Fig. 5 right
-		}
-		fmt.Println()
-	}
-	if cfg.want["2"] {
-		rows, err := overd.RunTable2(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintTable2(os.Stdout, rows)
-		fmt.Println()
-	}
-	if cfg.want["3"] {
-		t, err := overd.RunTable3(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintPerfTable(os.Stdout, t)
-		if cfg.figures {
-			overd.FprintSpeedupFigure(os.Stdout, t, "SP2") // Fig. 7
-		}
-		fmt.Println()
-	}
-	if cfg.want["4"] {
-		t, err := overd.RunTable4(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintPerfTable(os.Stdout, t)
-		if cfg.figures {
-			overd.FprintSpeedupFigure(os.Stdout, t, "SP2") // Fig. 10
-		}
-		fmt.Println()
-	}
-	if cfg.want["5"] {
-		rows, err := overd.RunTable5(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintTable5(os.Stdout, rows)
-		fmt.Println()
-	}
-	if cfg.want["5f"] {
-		rows, err := overd.RunTable5Faulted(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintTable5Faulted(os.Stdout, rows)
-		fmt.Println()
-	}
-	if cfg.want["6"] {
-		rows, err := overd.RunTable6(cfg.opt)
-		if err != nil {
-			fail(err)
-		}
-		overd.FprintTable6(os.Stdout, rows)
-		fmt.Println()
+	if err := overd.FprintTables(os.Stdout, cfg.opt, cfg.want, cfg.figures); err != nil {
+		fail(err)
 	}
 }

@@ -1,6 +1,7 @@
 package overd
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -102,41 +103,29 @@ func fmtStat(format string, v float64) string {
 	return fmt.Sprintf(format, v)
 }
 
-// runPerfTable executes a case constructor over node counts on both
-// machines and assembles the paper-style table.
-func runPerfTable(title string, mk func(float64) *Case, nodes []int, opt Options) (*PerfTable, error) {
-	opt = opt.withDefaults()
+// perfTable runs a case over node counts on both machines and assembles the
+// paper-style table.
+func (s *sweep) perfTable(title, mk string, nodes []int) (*PerfTable, error) {
 	t := &PerfTable{Title: title}
-	results := map[string][]*Result{}
-	for _, m := range []Machine{SP2(), SP()} {
-		for _, n := range nodes {
-			opt.logf("%s: %s %d nodes...", title, m.Name, n)
-			c := mk(opt.Scale)
-			res, err := Run(Config{
-				Case: c, Nodes: n, Machine: m, Steps: opt.Steps,
-				Fo: math.Inf(1), Metrics: opt.Metrics, Storage: opt.Storage,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s on %d %s nodes: %w", title, n, m.Name, err)
-			}
-			results[m.Name] = append(results[m.Name], res)
+	var base2, baseS *ran
+	for _, n := range nodes {
+		rs, err := s.run(fmt.Sprintf("%s: %d nodes", title, n), s.perfSpec(mk, n), SP2(), SP())
+		if err != nil {
+			return nil, err
 		}
-	}
-	base2 := results["SP2"][0]
-	baseS := results["SP"][0]
-	np := base2.Config.Case.Sys.NPoints()
-	for i, n := range nodes {
-		r2 := results["SP2"][i]
-		rs := results["SP"][i]
+		r2, rs1 := rs[0], rs[1]
+		if base2 == nil {
+			base2, baseS = r2, rs1
+		}
 		t.Rows = append(t.Rows, PerfRow{
 			Nodes:       n,
-			PtsPerNode:  np / n,
+			PtsPerNode:  base2.points / n,
 			MflopsSP2:   r2.MflopsPerNode(),
-			MflopsSP:    rs.MflopsPerNode(),
+			MflopsSP:    rs1.MflopsPerNode(),
 			SpeedupSP2:  ratio(base2.TotalTime, r2.TotalTime),
-			SpeedupSP:   ratio(baseS.TotalTime, rs.TotalTime),
+			SpeedupSP:   ratio(baseS.TotalTime, rs1.TotalTime),
 			PctDCF3DSP2: r2.PctConnect(),
-			PctDCF3DSP:  rs.PctConnect(),
+			PctDCF3DSP:  rs1.PctConnect(),
 		})
 		t.FigSP2 = append(t.FigSP2, ModuleSpeedup{
 			Nodes:    n,
@@ -146,9 +135,9 @@ func runPerfTable(title string, mk func(float64) *Case, nodes []int, opt Options
 		})
 		t.FigSP = append(t.FigSP, ModuleSpeedup{
 			Nodes:    n,
-			Flow:     ratio(baseS.FlowTime, rs.FlowTime),
-			Connect:  ratio(baseS.ConnectTime, rs.ConnectTime),
-			Combined: ratio(baseS.TotalTime, rs.TotalTime),
+			Flow:     ratio(baseS.FlowTime, rs1.FlowTime),
+			Connect:  ratio(baseS.ConnectTime, rs1.ConnectTime),
+			Combined: ratio(baseS.TotalTime, rs1.TotalTime),
 		})
 	}
 	return t, nil
@@ -159,16 +148,20 @@ var Table1Nodes = []int{6, 9, 12, 18, 24}
 
 // RunTable1 reproduces Table 1 and Figure 5: the 2-D oscillating airfoil
 // on 6-24 nodes of the SP2 and SP.
-func RunTable1(opt Options) (*PerfTable, error) {
-	return runPerfTable("Table 1 (2D oscillating airfoil)", OscillatingAirfoil, Table1Nodes, opt)
+func RunTable1(opt Options) (*PerfTable, error) { return newSweep(opt).table1() }
+
+func (s *sweep) table1() (*PerfTable, error) {
+	return s.perfTable("Table 1 (2D oscillating airfoil)", "airfoil", Table1Nodes)
 }
 
 // Table3Nodes are the paper's delta-wing partitions.
 var Table3Nodes = []int{7, 12, 26, 55}
 
 // RunTable3 reproduces Table 3 and Figure 7: the descending delta wing.
-func RunTable3(opt Options) (*PerfTable, error) {
-	return runPerfTable("Table 3 (descending delta wing)", DescendingDeltaWing, Table3Nodes, opt)
+func RunTable3(opt Options) (*PerfTable, error) { return newSweep(opt).table3() }
+
+func (s *sweep) table3() (*PerfTable, error) {
+	return s.perfTable("Table 3 (descending delta wing)", "deltawing", Table3Nodes)
 }
 
 // Table4Nodes are the paper's finned-store partitions.
@@ -176,8 +169,10 @@ var Table4Nodes = []int{16, 18, 22, 28, 35, 42, 52, 61}
 
 // RunTable4 reproduces Table 4 and Figure 10: the wing/pylon/finned-store
 // separation with static load balancing.
-func RunTable4(opt Options) (*PerfTable, error) {
-	return runPerfTable("Table 4 (finned-store separation)", StoreSeparation, Table4Nodes, opt)
+func RunTable4(opt Options) (*PerfTable, error) { return newSweep(opt).table4() }
+
+func (s *sweep) table4() (*PerfTable, error) {
+	return s.perfTable("Table 4 (finned-store separation)", "storesep", Table4Nodes)
 }
 
 // ScaleupRow is one row of Table 2: the airfoil scale-up study.
@@ -195,39 +190,32 @@ type ScaleupRow struct {
 // RunTable2 reproduces Table 2: the oscillating-airfoil scale-up study —
 // the coarsened (x1/4 points, 3 nodes), original (12 nodes) and refined
 // (x4 points, 48 nodes) grids hold gridpoints per node fixed near 5000.
-func RunTable2(opt Options) ([]ScaleupRow, error) {
-	opt = opt.withDefaults()
+func RunTable2(opt Options) ([]ScaleupRow, error) { return newSweep(opt).table2() }
+
+func (s *sweep) table2() ([]ScaleupRow, error) {
 	rows := []struct {
 		name  string
 		scale float64
 		nodes int
 	}{
-		{"Coarsened", 0.25 * opt.Scale, 3},
-		{"Original", 1 * opt.Scale, 12},
-		{"Refined", 4 * opt.Scale, 48},
+		{"Coarsened", 0.25, 3},
+		{"Original", 1, 12},
+		{"Refined", 4, 48},
 	}
 	var out []ScaleupRow
 	for _, rw := range rows {
-		row := ScaleupRow{Name: rw.name, Nodes: rw.nodes}
-		for _, m := range []Machine{SP2(), SP()} {
-			opt.logf("Table 2: %s on %s...", rw.name, m.Name)
-			c := OscillatingAirfoil(rw.scale)
-			res, err := Run(Config{Case: c, Nodes: rw.nodes, Machine: m,
-				Steps: opt.Steps, Fo: math.Inf(1), Metrics: opt.Metrics, Storage: opt.Storage})
-			if err != nil {
-				return nil, err
-			}
-			row.Points = c.Sys.NPoints()
-			row.PtsPerNode = row.Points / rw.nodes
-			if m.Name == "SP2" {
-				row.SecStepSP2 = res.TimePerStep()
-				row.PctDCF3DSP2 = res.PctConnect()
-			} else {
-				row.SecStepSP = res.TimePerStep()
-				row.PctDCF3DSP = res.PctConnect()
-			}
+		spec := s.perfSpec("airfoil", rw.nodes)
+		spec.scale *= rw.scale
+		rs, err := s.run("Table 2: "+rw.name, spec, SP2(), SP())
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, row)
+		out = append(out, ScaleupRow{
+			Name: rw.name, Nodes: rw.nodes,
+			Points: rs[0].points, PtsPerNode: rs[0].points / rw.nodes,
+			SecStepSP2: rs[0].TimePerStep(), SecStepSP: rs[1].TimePerStep(),
+			PctDCF3DSP2: rs[0].PctConnect(), PctDCF3DSP: rs[1].PctConnect(),
+		})
 	}
 	return out, nil
 }
@@ -253,30 +241,30 @@ type Table5Row struct {
 
 // RunTable5 reproduces Table 5 and Figure 11: static versus dynamic load
 // balancing (fo = 5) for the finned-store case on the SP2.
-func RunTable5(opt Options) ([]Table5Row, error) {
-	opt = opt.withDefaults()
-	steps := opt.Steps
-	if steps < 6 {
-		steps = 6 // the dynamic scheme needs check intervals to fire
-	}
-	run := func(nodes int, fo float64) (*Result, error) {
-		c := StoreSeparation(opt.Scale)
-		return Run(Config{Case: c, Nodes: nodes, Machine: SP2(), Steps: steps,
-			Fo: fo, CheckInterval: 3, Metrics: opt.Metrics, Storage: opt.Storage})
-	}
+func RunTable5(opt Options) ([]Table5Row, error) { return newSweep(opt).table5() }
+
+// table5Spec is a Table 5 run: the store case on the SP2 under load factor
+// fo, for long enough that the dynamic scheme's check intervals fire.
+func (s *sweep) table5Spec(nodes int, fo float64) runSpec {
+	spec := s.perfSpec("storesep", nodes)
+	spec.steps = max(spec.steps, 6)
+	spec.fo, spec.check = fo, 3
+	return spec
+}
+
+func (s *sweep) table5() ([]Table5Row, error) {
 	var out []Table5Row
-	var baseStat, baseDyn *Result
+	var baseStat, baseDyn *ran
 	for _, n := range Table5Nodes {
-		opt.logf("Table 5: %d nodes static...", n)
-		rs, err := run(n, math.Inf(1))
+		stat, err := s.run(fmt.Sprintf("Table 5: %d nodes static", n), s.table5Spec(n, math.Inf(1)), SP2())
 		if err != nil {
 			return nil, err
 		}
-		opt.logf("Table 5: %d nodes dynamic fo=5...", n)
-		rd, err := run(n, 5)
+		dyn, err := s.run(fmt.Sprintf("Table 5: %d nodes dynamic fo=5", n), s.table5Spec(n, 5), SP2())
 		if err != nil {
 			return nil, err
 		}
+		rs, rd := stat[0], dyn[0]
 		if baseStat == nil {
 			baseStat, baseDyn = rs, rd
 		}
@@ -330,41 +318,30 @@ type Table5FaultedRow struct {
 // RunTable5Faulted re-runs the Table 5 static-versus-dynamic sweep under
 // the Table5FaultPlan straggler (the robustness headline experiment).
 func RunTable5Faulted(opt Options) ([]Table5FaultedRow, error) {
-	return runTable5Faulted(opt, Table5Nodes)
+	return newSweep(opt).table5Faulted(Table5Nodes)
 }
 
-func runTable5Faulted(opt Options, nodes []int) ([]Table5FaultedRow, error) {
-	opt = opt.withDefaults()
-	steps := opt.Steps
-	if steps < 6 {
-		steps = 6 // the dynamic scheme needs check intervals to fire
-	}
-	run := func(n int, fo float64, plan *FaultPlan) (*Result, error) {
-		c := StoreSeparation(opt.Scale)
-		return Run(Config{Case: c, Nodes: n, Machine: SP2(), Steps: steps,
-			Fo: fo, CheckInterval: 3, Faults: plan, Metrics: opt.Metrics, Storage: opt.Storage})
-	}
-	plan := Table5FaultPlan()
+func (s *sweep) table5Faulted(nodes []int) ([]Table5FaultedRow, error) {
 	var out []Table5FaultedRow
 	for _, n := range nodes {
-		opt.logf("Table 5 faulted: %d nodes static clean/straggler...", n)
-		cs, err := run(n, math.Inf(1), nil)
-		if err != nil {
-			return nil, err
+		// Static then dynamic, each clean then under the straggler; the clean
+		// runs are Table 5's.
+		var res []*ran
+		for _, scheme := range []struct {
+			name string
+			fo   float64
+		}{{"static", math.Inf(1)}, {"dynamic fo=5", 5}} {
+			for _, fault := range []string{"", "straggler"} {
+				spec := s.table5Spec(n, scheme.fo)
+				spec.faults = fault
+				rs, err := s.run(fmt.Sprintf("Table 5 faulted: %d nodes %s %s", n, scheme.name, cmp.Or(fault, "clean")), spec, SP2())
+				if err != nil {
+					return nil, err
+				}
+				res = append(res, rs[0])
+			}
 		}
-		fs, err := run(n, math.Inf(1), plan)
-		if err != nil {
-			return nil, err
-		}
-		opt.logf("Table 5 faulted: %d nodes dynamic fo=5 clean/straggler...", n)
-		cd, err := run(n, 5, nil)
-		if err != nil {
-			return nil, err
-		}
-		fd, err := run(n, 5, plan)
-		if err != nil {
-			return nil, err
-		}
+		cs, fs, cd, fd := res[0], res[1], res[2], res[3]
 		out = append(out, Table5FaultedRow{
 			Nodes:         n,
 			SlowdownStat:  ratio(fs.TotalTime, cs.TotalTime),
@@ -394,33 +371,65 @@ type Table6Row struct {
 
 // RunTable6 reproduces Table 6: run-time speedup of the finned-store case
 // over a single-processor Cray YMP/864.
-func RunTable6(opt Options) ([]Table6Row, error) {
-	opt = opt.withDefaults()
+func RunTable6(opt Options) ([]Table6Row, error) { return newSweep(opt).table6() }
+
+func (s *sweep) table6() ([]Table6Row, error) {
 	var out []Table6Row
 	for _, n := range Table6Nodes {
-		row := Table6Row{Nodes: n}
-		for _, m := range []Machine{SP2(), SP()} {
-			opt.logf("Table 6: %d nodes on %s...", n, m.Name)
-			c := StoreSeparation(opt.Scale)
-			res, err := Run(Config{Case: c, Nodes: n, Machine: m,
-				Steps: opt.Steps, Fo: math.Inf(1), Metrics: opt.Metrics, Storage: opt.Storage})
-			if err != nil {
-				return nil, err
-			}
-			ympT := EstimateSerialTime(res.Flops, YMP864())
-			overall := ratio(ympT, res.TotalTime)
-			if m.Name == "SP2" {
-				row.OverallSP2 = overall
-				row.PerNodeSP2 = overall / float64(n)
-			} else {
-				row.OverallSP = overall
-				row.PerNodeSP = overall / float64(n)
-			}
-			row.YMPTimeStep = ratio(ympT, float64(len(res.Steps)))
+		// Table 4's runs, where a sweep holds both tables.
+		rs, err := s.run(fmt.Sprintf("Table 6: %d nodes", n), s.perfSpec("storesep", n), SP2(), SP())
+		if err != nil {
+			return nil, err
 		}
+		r2, rs1 := rs[0], rs[1]
+		ympT := EstimateSerialTime(r2.Flops, YMP864())
+		row := Table6Row{
+			Nodes:       n,
+			OverallSP2:  ratio(ympT, r2.TotalTime),
+			OverallSP:   ratio(ympT, rs1.TotalTime),
+			YMPTimeStep: ratio(ympT, float64(len(r2.Steps))),
+		}
+		row.PerNodeSP2 = row.OverallSP2 / float64(n)
+		row.PerNodeSP = row.OverallSP / float64(n)
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// FprintTables runs the selected tables (in fixed 1,2,3,4,5,5f,6 order)
+// through one sweep — as EmitTablesJSON does — and writes each in the
+// paper's layout, with the speedup figures as text plots if asked.
+func FprintTables(w io.Writer, opt Options, want map[string]bool, figures bool) error {
+	s := newSweep(opt)
+	for _, id := range tableIDs {
+		if !want[id] {
+			continue
+		}
+		t, err := s.table(id)
+		if err != nil {
+			return err
+		}
+		switch t := t.(type) {
+		case *PerfTable:
+			FprintPerfTable(w, t)
+			if figures {
+				FprintSpeedupFigure(w, t, "SP2") // Figs. 5 (left), 7, 10
+				if id == "1" {
+					FprintSpeedupFigure(w, t, "SP") // Fig. 5 right
+				}
+			}
+		case []ScaleupRow:
+			FprintTable2(w, t)
+		case []Table5Row:
+			FprintTable5(w, t)
+		case []Table5FaultedRow:
+			FprintTable5Faulted(w, t)
+		case []Table6Row:
+			FprintTable6(w, t)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 // FprintPerfTable writes a PerfTable in the paper's layout.

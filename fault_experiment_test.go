@@ -10,7 +10,7 @@ func TestTable5FaultedStragglerSignature(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long fault sweep")
 	}
-	rows, err := runTable5Faulted(Options{Scale: 0.05, Steps: 6}, []int{16})
+	rows, err := newSweep(Options{Scale: 0.05, Steps: 6}).table5Faulted([]int{16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func TestModuleSpeedupOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration")
 	}
-	tbl, err := runPerfTable("fig-shape", OscillatingAirfoil, []int{6, 18}, Options{Scale: 0.3, Steps: 3})
+	tbl, err := newSweep(Options{Scale: 0.3, Steps: 3}).perfTable("fig-shape", "airfoil", []int{6, 18})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"overd/internal/cases"
 	"overd/internal/geom"
 	"overd/internal/metrics"
 	"overd/internal/par"
@@ -20,13 +21,41 @@ type checkpoint struct {
 	dt    float64 // frozen timestep of the run
 	clock float64 // global virtual clock at capture (all ranks equal here)
 
-	xforms []geom.Transform // per-grid absolute placements
-	body   *sixdof.State    // force-coupled body state, nil if none
+	placement
 	// q holds each grid's conserved variables in global index space,
 	// 5 values per point (freestream where no rank owned the point).
 	q [][]float64
 
 	stats []StepStats // per-step statistics for steps [0, step)
+}
+
+// placement is where a case's moving parts are: every grid's absolute
+// placement and the force-coupled body's state. A run moves its case; this
+// is what puts it back.
+type placement struct {
+	xforms []geom.Transform
+	body   *sixdof.State // nil if no body is force-coupled
+}
+
+func placementOf(c *cases.Case) placement {
+	p := placement{xforms: make([]geom.Transform, len(c.Sys.Grids))}
+	for gi, g := range c.Sys.Grids {
+		p.xforms[gi] = g.Xform
+	}
+	if c.FreeBody != nil {
+		s := c.FreeBody.State
+		p.body = &s
+	}
+	return p
+}
+
+func (p placement) restore(c *cases.Case) {
+	for gi, g := range c.Sys.Grids {
+		g.ApplyTransform(p.xforms[gi])
+	}
+	if c.FreeBody != nil && p.body != nil {
+		c.FreeBody.State = *p.body
+	}
 }
 
 // bytesPerCheckpointPoint models the serialized size of one gridpoint's
@@ -42,7 +71,7 @@ func (st *runState) writeCheckpoint(r *par.Rank, stepDone int) {
 	r.SetPhase(par.PhaseOther)
 	t0 := r.Clock
 	own := st.plan.Parts[r.ID].Box.Count()
-	r.Elapse(r.Model().CommTime(own * bytesPerCheckpointPoint))
+	r.Transfer(own * bytesPerCheckpointPoint)
 	if r.ID != 0 {
 		return
 	}
@@ -61,15 +90,7 @@ func (st *runState) writeCheckpoint(r *par.Rank, stepDone int) {
 // capture builds the snapshot (rank 0 only; peers quiescent).
 func (st *runState) capture(r *par.Rank, stepDone int) *checkpoint {
 	c := st.cfg.Case
-	ck := &checkpoint{step: stepDone, dt: st.dt, clock: r.Clock}
-	ck.xforms = make([]geom.Transform, len(c.Sys.Grids))
-	for gi, g := range c.Sys.Grids {
-		ck.xforms[gi] = g.Xform
-	}
-	if c.FreeBody != nil {
-		s := c.FreeBody.State
-		ck.body = &s
-	}
+	ck := &checkpoint{step: stepDone, dt: st.dt, clock: r.Clock, placement: placementOf(c)}
 	ck.q = make([][]float64, len(c.Sys.Grids))
 	for gi, g := range c.Sys.Grids {
 		ck.q[gi] = make([]float64, 5*g.NPoints())
@@ -100,13 +121,7 @@ func (st *runState) capture(r *par.Rank, stepDone int) *checkpoint {
 // original frozen dt, and the conserved field is reloaded into the new
 // partition's blocks as they are built (see loadQ).
 func (st *runState) restoreFrom(ck *checkpoint) {
-	c := st.cfg.Case
-	for gi, g := range c.Sys.Grids {
-		g.ApplyTransform(ck.xforms[gi])
-	}
-	if c.FreeBody != nil && ck.body != nil {
-		c.FreeBody.State = *ck.body
-	}
+	ck.placement.restore(st.cfg.Case)
 	st.startStep = ck.step
 	st.dt = ck.dt
 	st.restored = true

@@ -86,12 +86,10 @@ func TestCrashRestartIntegration(t *testing.T) {
 	}
 }
 
-// What a crashed attempt is charged for — each survivor's flops and rank 0's
-// module and wait clocks when the poison reaches them — is host timing today
-// (ROADMAP, "Oracles" item 4). Un-skip once the accounting is snapshotted at
-// the top of the crash step, and drop the carve-out in runStored with it.
+// What a crashed attempt is charged for is what its ranks had done as the
+// crash step began — not what each survivor had done when the poison reached
+// it, which is host timing.
 func TestCrashedAttemptAccountingDeterministic(t *testing.T) {
-	t.Skip("a crashed attempt's charges depend on host timing; see ROADMAP Oracles (4)")
 	mk := func() Config {
 		cfg := smallAirfoil(5, math.Inf(1), 8)
 		cfg.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 2, Step: 5}}}
@@ -107,7 +105,9 @@ func TestCrashedAttemptAccountingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		got, err := Run(mk())
+		cfg := mk()
+		cfg.Workers = i % 3 // unbounded, then through the run-slot gate
+		got, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -268,6 +268,74 @@ func (r *Result) TimePerStep() float64 {
 // the recovery cost recorded in the Result rather than returned as an
 // error. Non-crash rank panics still propagate as panics (they are bugs).
 func Run(cfg Config) (*Result, error) {
+	results, _, err := RunOn(cfg, cfg.Machine)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// RunOn is Run on several machines (cfg.Machine is not read): it returns one
+// Result per machine, each what Run returns for that machine. The case is
+// executed once, on the first; its flow field, donors, flops and messages
+// are the same whatever the machine, so the other Results are re-timed from
+// the tape of that execution (see par.Tape) and share everything that is not
+// a time with the first.
+//
+// Where re-timing does not apply the case is executed once per machine
+// instead: when anything that reads clocks as the run goes is attached
+// (Trace, Metrics, Faults, OnStep, Interrupt, CheckpointEvery), and when the
+// tape comes back void (the balancer fed on wait times, say). executed is
+// the number of executions, 1 or len(machines).
+func RunOn(cfg Config, machines ...machine.Model) (results []*Result, executed int, err error) {
+	if len(machines) == 0 {
+		return nil, 0, fmt.Errorf("core: no machine to run on")
+	}
+	var tape *par.Tape
+	var initial placement
+	if len(machines) > 1 {
+		if cfg.Trace == nil && cfg.Metrics == nil && cfg.Faults == nil &&
+			cfg.OnStep == nil && cfg.Interrupt == nil && cfg.CheckpointEvery == 0 {
+			tape = cfg.Storage.getTape()
+			defer cfg.Storage.putTape(tape)
+		}
+		// A run moves its case; one that re-executes starts where the first
+		// did.
+		initial = placementOf(cfg.Case)
+	}
+	cfg.Machine = machines[0]
+	first, err := execute(cfg, tape)
+	if err != nil {
+		return nil, 1, err
+	}
+	results, executed = append(results, first), 1
+	retimes := tape != nil
+	if retimes {
+		_, void := tape.Voided()
+		retimes = !void
+	}
+	for _, m := range machines[1:] {
+		var res *Result
+		if retimes {
+			res, err = retime(first, tape, m)
+		} else {
+			initial.restore(cfg.Case)
+			cfg.Machine = m
+			res, err = execute(cfg, nil)
+			executed++
+		}
+		if err != nil {
+			return nil, executed, err
+		}
+		results = append(results, res)
+	}
+	return results, executed, nil
+}
+
+// execute runs cfg's case on cfg.Machine. tape, when non-nil, records the
+// run for re-timing; it comes back void if the run did anything a replay
+// would not reproduce.
+func execute(cfg Config, tape *par.Tape) (*Result, error) {
 	if cfg.Steps < 1 {
 		return nil, fmt.Errorf("core: need at least 1 step")
 	}
@@ -353,8 +421,12 @@ func Run(cfg Config) (*Result, error) {
 		world.SetParallelism(cfg.Workers)
 		world.SetTrace(cfg.Trace)
 		world.SetMetrics(cfg.Metrics)
+		world.SetTape(tape)
 		if eng != nil {
 			world.SetFaults(eng)
+			// The plan's rates, links and crashes are stated against this
+			// run's clock and steps; a replay has neither.
+			tape.Void("a fault plan is attached")
 		}
 		st := newRunState(cfg, plan)
 		st.storage = storage
@@ -366,6 +438,9 @@ func Run(cfg Config) (*Result, error) {
 			// boundaries; anything else leaves the balance phase exactly
 			// as a pure static run (bit-identical clocks).
 			st.stepBal = sb
+			if sb.Needs().Waits {
+				tape.Void("the balancer reads wait times")
+			}
 		}
 		if ck != nil {
 			st.restoreFrom(ck)
@@ -379,10 +454,18 @@ func Run(cfg Config) (*Result, error) {
 			done = st.finish()
 		}
 		storage.put(st.slab)
-		for _, rk := range ranks {
-			rec.dropped += rk.Dropped
-			rec.retries += rk.Retries
-			rec.faultWait += rk.TotalFaultWaitTime()
+		// What the attempt is charged: all its ranks did if it finished, what
+		// they had done as the crash step began if it died. (Where each
+		// survivor was when the poison reached it is host timing.)
+		if err == nil {
+			for i, rk := range ranks {
+				st.tops[i] = tallyOf(rk)
+			}
+		}
+		for _, t := range st.tops {
+			rec.dropped += t.dropped
+			rec.retries += t.retries
+			rec.faultWait += t.faultWait
 		}
 		if err == nil {
 			if st.stopErr != nil {
@@ -408,7 +491,8 @@ func Run(cfg Config) (*Result, error) {
 		// and module times it burned (they are part of the cost to
 		// solution under the fault plan).
 		rec.count++
-		resumeStep, resumeClock := 0, st.measStart
+		start := st.led.start
+		resumeStep, resumeClock := 0, start.clock
 		if st.ck != nil {
 			resumeStep = st.ck.step
 			if st.ck != ck {
@@ -419,14 +503,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 		rec.steps += crash.Step - resumeStep
 		rec.time += crash.Clock - resumeClock
-		rec.prevTime += crash.Clock - st.measStart
-		for i, rk := range ranks {
-			rec.flops += rk.TotalFlops() - st.preFlops[i]
+		rec.prevTime += crash.Clock - start.clock
+		for i, t := range st.tops {
+			rec.flops += t.flops - st.preFlops[i]
 		}
-		r0 := ranks[0]
-		for i, p := range [4]par.Phase{par.PhaseFlow, par.PhaseMotion, par.PhaseConnect, par.PhaseBalance} {
-			rec.mod[i] += r0.PhaseTime(p) - st.preMod[i]
-			rec.mod[4+i] += r0.WaitTime(p) - st.preMod[4+i]
+		for i := range modules {
+			rec.mod[i] += st.top.mod[i] - start.mod[i]
+			rec.wait[i] += st.top.wait[i] - start.wait[i]
 		}
 		rec.checkpoints += st.result.Checkpoints
 		rec.checkpointTime += st.result.CheckpointTime
@@ -444,7 +527,7 @@ type recovery struct {
 	count, steps     int
 	time, prevTime   float64
 	flops            float64
-	mod              [8]float64 // flow/motion/connect/balance times, then waits
+	mod, wait        [4]float64 // rank 0's time and blocked time per module
 	checkpoints      int
 	checkpointTime   float64
 	dropped, retries int
@@ -460,10 +543,10 @@ func (rec *recovery) merge(res *Result) *Result {
 	res.MotionTime += rec.mod[1]
 	res.ConnectTime += rec.mod[2]
 	res.BalanceTime += rec.mod[3]
-	res.FlowWaitTime += rec.mod[4]
-	res.MotionWaitTime += rec.mod[5]
-	res.ConnectWaitTime += rec.mod[6]
-	res.BalanceWaitTime += rec.mod[7]
+	res.FlowWaitTime += rec.wait[0]
+	res.MotionWaitTime += rec.wait[1]
+	res.ConnectWaitTime += rec.wait[2]
+	res.BalanceWaitTime += rec.wait[3]
 	res.Recoveries = rec.count
 	res.RecoverySteps = rec.steps
 	res.RecoveryTime = rec.time
@@ -557,12 +640,15 @@ type runState struct {
 	restored  bool
 	restoreQ  [][]float64
 	ck        *checkpoint
-	// Measurement baselines recorded at the top of the timestep loop, read
-	// by Run after the world's goroutines have joined to account the flops
-	// and module times a crashed attempt burned.
-	measStart float64
-	preFlops  []float64
-	preMod    [8]float64
+	// Rank 0's snapshots of the measured window (see ledger), and each rank's
+	// flops where it opens.
+	led      ledger
+	preFlops []float64
+	// What each rank, and rank 0's clocks, had been charged at the top of the
+	// last step it began: Run accounts a crashed attempt from these after the
+	// world's goroutines have joined.
+	tops []tally
+	top  snapshot
 	// Interrupt outcome: rank 0 writes these between the post-balance
 	// barrier and the trailing step barrier (peers quiescent); every rank
 	// reads them at the next step boundary, after that barrier's
@@ -581,6 +667,7 @@ func newRunState(cfg Config, plan *balance.Plan) *runState {
 		flowAr:    flow.NewArenas(n),
 		dcfAr:     dcf.NewArenas(n),
 		preFlops:  make([]float64, n),
+		tops:      make([]tally, n),
 		prevClock: make([]float64, n),
 		prevWait:  make([]float64, n),
 	}

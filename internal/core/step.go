@@ -53,31 +53,16 @@ func (st *runState) rankMain(r *par.Rank) {
 
 	// Statistics measure the timestep loop only; record the preprocessing
 	// baselines to subtract (the paper's tables exclude preprocessing).
-	startClock := r.Clock
 	// Open the metrics window at the same instant: windowed metrics zero
 	// here so their totals reconcile exactly with the trace summary, whose
-	// window is [startClock, last-step capture] (all clocks equal after
-	// the preprocessing barrier above).
+	// window is [start of measurement, last-step capture] (all clocks equal
+	// after the preprocessing barrier above).
 	r.MetricsWindowStart()
 	if reg := r.MetricsRegistry(); reg != nil {
 		publishRankGridpoints(reg, r, st.plan.Parts[r.ID].Grid,
 			st.blocks[r.ID].NPointsLocal())
 	}
-	s0Flow := r.PhaseTime(par.PhaseFlow)
-	s0Motion := r.PhaseTime(par.PhaseMotion)
-	s0Connect := r.PhaseTime(par.PhaseConnect)
-	s0Balance := r.PhaseTime(par.PhaseBalance)
 	s0Flops := r.TotalFlops()
-	s0FlowW := r.WaitTime(par.PhaseFlow)
-	s0MotionW := r.WaitTime(par.PhaseMotion)
-	s0ConnectW := r.WaitTime(par.PhaseConnect)
-	s0BalanceW := r.WaitTime(par.PhaseBalance)
-	prevFlow, prevMotion, prevConnect, prevBalance := s0Flow, s0Motion, s0Connect, s0Balance
-	prevFlowW, prevMotionW, prevConnectW, prevBalanceW := s0FlowW, s0MotionW, s0ConnectW, s0BalanceW
-	// Baselines for crash accounting: if this attempt dies, Run reads these
-	// (after the goroutines join) to recover the work it burned. Written in
-	// straight-line code right after the preprocessing barrier, before any
-	// blocking call could observe a peer's crash.
 	st.preFlops[r.ID] = s0Flops
 	// Busy/wait baselines for wait-fed step balancers: deltas start at the
 	// measurement window, not at rank launch, so preprocessing cost never
@@ -85,9 +70,7 @@ func (st *runState) rankMain(r *par.Rank) {
 	st.prevClock[r.ID] = r.Clock
 	st.prevWait[r.ID] = r.TotalWaitTime()
 	if r.ID == 0 {
-		st.measStart = startClock
-		st.preMod = [8]float64{s0Flow, s0Motion, s0Connect, s0Balance,
-			s0FlowW, s0MotionW, s0ConnectW, s0BalanceW}
+		st.led.open(account(r))
 	}
 
 	// ---- Timestep loop. ----
@@ -98,6 +81,14 @@ func (st *runState) rankMain(r *par.Rank) {
 			// all ranks break at the same boundary and fall through to the
 			// joint post-loop collectives.
 			break
+		}
+		// What the rank has been charged as the step begins, for Run to account
+		// an attempt that dies in this step. Every rank gets here and no
+		// further: the barrier it just left returns to all, this is
+		// straight-line code, and the step's first barrier needs the dead.
+		st.tops[r.ID] = tallyOf(r)
+		if r.ID == 0 {
+			st.top = snap(r)
 		}
 		if st.eng != nil {
 			// Scheduled rank crashes fire at the top of the step, where the
@@ -148,40 +139,24 @@ func (st *runState) rankMain(r *par.Rank) {
 		// Record the step's phase deltas (equal across ranks after the
 		// barriers; rank 0 writes).
 		if r.ID == 0 {
-			ft, mt, ct, bt := r.PhaseTime(par.PhaseFlow), r.PhaseTime(par.PhaseMotion),
-				r.PhaseTime(par.PhaseConnect), r.PhaseTime(par.PhaseBalance)
-			fw, mw, cw, bw := r.WaitTime(par.PhaseFlow), r.WaitTime(par.PhaseMotion),
-				r.WaitTime(par.PhaseConnect), r.WaitTime(par.PhaseBalance)
-			igbps := 0
+			now := account(r)
+			stats := StepStats{}
 			maxI, sumI := 0, 0
 			for _, s := range st.solvers {
-				igbps += s.IGBPCount()
+				stats.IGBPs += s.IGBPCount()
 				if s.ReceivedIGBPs > maxI {
 					maxI = s.ReceivedIGBPs
 				}
 				sumI += s.ReceivedIGBPs
 			}
-			maxF := 0.0
 			if sumI > 0 {
-				maxF = float64(maxI) * float64(len(st.solvers)) / float64(sumI)
+				stats.MaxF = float64(maxI) * float64(len(st.solvers)) / float64(sumI)
 			}
-			st.stats = append(st.stats, StepStats{
-				Flow:        ft - prevFlow,
-				Motion:      mt - prevMotion,
-				Connect:     ct - prevConnect,
-				Balance:     bt - prevBalance,
-				FlowWait:    fw - prevFlowW,
-				MotionWait:  mw - prevMotionW,
-				ConnectWait: cw - prevConnectW,
-				BalanceWait: bw - prevBalanceW,
-				IGBPs:       igbps,
-				MaxF:        maxF,
-			})
-			prevFlow, prevMotion, prevConnect, prevBalance = ft, mt, ct, bt
-			prevFlowW, prevMotionW, prevConnectW, prevBalanceW = fw, mw, cw, bw
-			publishStepMetrics(r.MetricsRegistry(), maxF, igbps, r.Clock)
+			st.led.closeStep(now, &stats)
+			st.stats = append(st.stats, stats)
+			publishStepMetrics(r.MetricsRegistry(), stats.MaxF, stats.IGBPs, r.Clock)
 			if st.cfg.OnStep != nil {
-				st.cfg.OnStep(step, st.stats[len(st.stats)-1], r.Clock)
+				st.cfg.OnStep(step, stats, r.Clock)
 			}
 			if st.cfg.Interrupt != nil && step+1 < st.cfg.Steps {
 				// Cancellation poll: host-side only, never charged to a
@@ -196,21 +171,13 @@ func (st *runState) rankMain(r *par.Rank) {
 				// End-of-run capture from the same snapshot, so phase
 				// sums, step totals and TotalTime agree exactly; the
 				// trailing synchronization below is bookkeeping.
-				st.result.TotalTime = r.Clock - startClock
-				st.result.FlowTime = ft - s0Flow
-				st.result.MotionTime = mt - s0Motion
-				st.result.ConnectTime = ct - s0Connect
-				st.result.BalanceTime = bt - s0Balance
-				st.result.FlowWaitTime = fw - s0FlowW
-				st.result.MotionWaitTime = mw - s0MotionW
-				st.result.ConnectWaitTime = cw - s0ConnectW
-				st.result.BalanceWaitTime = bw - s0BalanceW
+				st.led.closeRun(now, &st.result)
 				// Mark the measured interval so trace analyses (summary,
 				// critical path) reconcile with TotalTime, which excludes
 				// preprocessing; all clocks are equal here because the
 				// module barriers just synchronized them.
 				if st.cfg.Trace != nil {
-					st.cfg.Trace.SetWindow(startClock, r.Clock)
+					st.cfg.Trace.SetWindow(st.led.start.clock, r.Clock)
 				}
 			}
 		}
@@ -401,7 +368,7 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 			}
 		}
 	}
-	r.Elapse(r.Model().CommTime(moved * 40))
+	r.Transfer(moved * 40)
 	r.Compute(float64(part.Box.Count()) * 10)
 
 	st.solvers[r.ID] = dcf.NewSolver(st.cfg.Case.Overset, dcfParts(st.plan), r.ID)

@@ -8,6 +8,7 @@ import (
 	"overd/internal/cases"
 	"overd/internal/flow"
 	"overd/internal/grid"
+	"overd/internal/par"
 )
 
 // Storage is a free list of world slabs — the one piece of memory all of a
@@ -28,9 +29,15 @@ import (
 // rows one after another, small cases first; concurrent runs of different
 // sizes may share a Storage safely but the larger one's misses throw away
 // slabs the smaller one would have reused — results never depend on it.
+//
+// A Storage also keeps the tape a RunOn recorded its execution on (see
+// par.Tape) for the next RunOn to record over: a tape is done with when RunOn
+// returns, and a sweep's worth of them is otherwise a tenth of what the sweep
+// allocates.
 type Storage struct {
-	mu   sync.Mutex
-	free [][]float64
+	mu    sync.Mutex
+	free  [][]float64
+	tapes []*par.Tape
 }
 
 // NewStorage returns an empty Storage.
@@ -69,6 +76,31 @@ func (s *Storage) put(b []float64) {
 	}
 	s.mu.Lock()
 	s.free = append(s.free, b)
+	s.mu.Unlock()
+}
+
+// getTape returns a tape to record a run on: one a finished RunOn gave back,
+// or a new one.
+func (s *Storage) getTape() *par.Tape {
+	if s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if last := len(s.tapes) - 1; last >= 0 {
+			t := s.tapes[last]
+			s.tapes = s.tapes[:last]
+			return t
+		}
+	}
+	return par.NewTape()
+}
+
+// putTape gives a tape from getTape back; the caller is done replaying it.
+func (s *Storage) putTape(t *par.Tape) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.tapes = append(s.tapes, t)
 	s.mu.Unlock()
 }
 

@@ -47,11 +47,7 @@ var storageRuns = []struct {
 
 // runStored runs mk's configuration, sampled, through s and returns the
 // Result without its case (motions hold functions, which never compare
-// equal; the sampled field and every clock stay). Of a run that recovered
-// from a crash it also drops what the crashed attempt is charged for: the
-// survivors' flops and rank 0's module times up to where the poison found
-// them, which is a matter of host timing with or without a Storage
-// (TestCrashedAttemptAccountingDeterministic tracks it).
+// equal; the sampled field and every clock stay).
 func runStored(mk func() Config, s *Storage) (*Result, error) {
 	cfg := mk()
 	cfg.Sample = &SampleSpec{FieldGrid: 0, FieldK: -1, SurfaceGrid: 0}
@@ -64,11 +60,6 @@ func runStored(mk func() Config, s *Storage) (*Result, error) {
 		return nil, errors.New("Result.Config keeps the Storage")
 	}
 	res.Config.Case = nil
-	if res.Recoveries > 0 {
-		res.Flops = 0
-		res.FlowTime, res.MotionTime, res.ConnectTime, res.BalanceTime = 0, 0, 0, 0
-		res.FlowWaitTime, res.MotionWaitTime, res.ConnectWaitTime, res.BalanceWaitTime = 0, 0, 0, 0
-	}
 	return res, nil
 }
 

@@ -17,9 +17,7 @@ var facePool par.Pool[faceMsg]
 // ExchangeHalo swaps the Halo-deep boundary planes of Q with the face
 // neighbors of this block (including periodic wrap neighbors). All sends
 // are posted first (asynchronous, as in the MPI original), then receives
-// are matched by face. Returns flops (zero — pure communication — but pack
-// and unpack charge a small per-point cost through r.Elapse by the caller's
-// convention of counting copies as memory traffic, not flops).
+// are matched by face. It charges no flops: pure communication.
 func (b *Block) ExchangeHalo(r *par.Rank) {
 	type post struct {
 		dim, side int

@@ -283,6 +283,10 @@ type World struct {
 	// — costs one pointer test per blocking operation and nothing on the
 	// non-blocking hot paths.
 	gate chan struct{}
+
+	// tape, when non-nil, receives the causes of every rank's time (see
+	// Tape). Nil costs one pointer test per operation and no allocations.
+	tape *Tape
 }
 
 // SetParallelism bounds the number of rank goroutines running host code
@@ -418,15 +422,16 @@ func (w *World) Run(body func(r *Rank)) []*Rank {
 func (w *World) RunErr(body func(r *Rank)) ([]*Rank, error) {
 	ranks := make([]*Rank, w.n)
 	for i := range ranks {
-		ranks[i] = &Rank{
-			ID:    i,
-			w:     w,
-			phase: PhaseOther,
-		}
+		ranks[i] = newRank(i, w)
 	}
 	if w.rec != nil {
 		for i := range ranks {
 			ranks[i].tr = w.rec.Buf(i)
+		}
+	}
+	if w.tape != nil {
+		for i := range ranks {
+			ranks[i].tp = &w.tape.ranks[i]
 		}
 	}
 	var wg sync.WaitGroup
@@ -489,6 +494,7 @@ func (w *World) RunErr(body func(r *Rank)) ([]*Rank, error) {
 		}
 	}
 	if pick >= 0 {
+		w.tape.Void("a rank failed")
 		return ranks, &RankFailure{Rank: pick, Cause: panics[pick]}
 	}
 	if w.rec != nil {
@@ -515,7 +521,24 @@ func inducedPanic(p any) bool {
 
 // Rank is the per-processor handle passed to the Run body. All methods are
 // for use only by that rank's goroutine.
+//
+// Ranks are allocated one by one and lie side by side in their size class;
+// padded to whole cache lines (as mailbox is) no rank's send counter shares a
+// line with its neighbor's clock, whatever fields are added. (At 2 procs the
+// sharing costs par_pattern a tenth of its time.)
 type Rank struct {
+	rankFields
+	_ [(cacheLine - unsafe.Sizeof(rankFields{})%cacheLine) % cacheLine]byte
+}
+
+func newRank(id int, w *World) *Rank {
+	r := &Rank{}
+	r.ID, r.w, r.phase = id, w, PhaseOther
+	return r
+}
+
+// rankFields is a Rank's fields.
+type rankFields struct {
 	ID int
 	w  *World
 
@@ -554,7 +577,10 @@ type Rank struct {
 
 	// tr is this rank's private trace buffer (nil when tracing is off).
 	tr *trace.RankBuf
-	// sendSeq numbers this rank's sends for trace flow edges.
+	// tp is this rank's part of the world's tape (nil when none is attached).
+	tp *rankTape
+	// sendSeq numbers this rank's sends: with the rank id it names a message
+	// (flowID), for trace flow edges and for the tape's receive ops.
 	sendSeq uint64
 }
 
@@ -576,6 +602,9 @@ func (r *Rank) Model() machine.Model { return r.w.model }
 // SetPhase attributes subsequent virtual time to the given phase.
 func (r *Rank) SetPhase(p Phase) {
 	r.phase = p
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opSetPhase, peer: int32(p)})
+	}
 	if r.tr != nil {
 		r.emit(trace.KindPhase, r.Clock, 0, 0, trace.NoPeer, 0, 0)
 	}
@@ -620,6 +649,9 @@ func (r *Rank) Compute(flops float64) {
 	if flops <= 0 {
 		return
 	}
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opCompute, x: flops, y: r.workingSet})
+	}
 	r.phaseFlops[r.phase] += flops
 	dt := r.w.model.ComputeTimeFor(r.ID, r.Clock, flops, r.workingSet)
 	if r.tr != nil && dt > 0 {
@@ -628,13 +660,19 @@ func (r *Rank) Compute(flops float64) {
 	r.advance(dt)
 }
 
-// Elapse charges the rank a fixed amount of virtual time without flops
-// (memory traffic, search bookkeeping measured in seconds directly).
-func (r *Rank) Elapse(seconds float64) {
-	if r.tr != nil && seconds > 0 {
-		r.emit(trace.KindElapse, r.Clock, seconds, 0, trace.NoPeer, 0, 0)
+// Transfer charges the rank the modeled time of moving the given number of
+// bytes over the interconnect without a message (redistribution traffic,
+// checkpoint writes): CommTime(bytes), no flops. The cost is stated in bytes
+// rather than seconds so that it means the same thing on every machine.
+func (r *Rank) Transfer(bytes int) {
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opTransfer, n: int64(bytes)})
 	}
-	r.advance(seconds)
+	dt := r.w.model.CommTime(bytes)
+	if r.tr != nil && dt > 0 {
+		r.emit(trace.KindElapse, r.Clock, dt, 0, trace.NoPeer, 0, 0)
+	}
+	r.advance(dt)
 }
 
 // PhaseTime returns the virtual seconds accumulated in phase p so far.
@@ -689,6 +727,7 @@ func (r *Rank) chargeFaultWait(dt float64, tag Tag, peer int) {
 	if dt <= 0 {
 		return
 	}
+	r.w.tape.Void("a rank waited on the fault layer")
 	if r.tr != nil {
 		r.emit(trace.KindFaultWait, r.Clock, dt, tag, peer, 0, 0)
 	}
@@ -719,28 +758,10 @@ func (r *Rank) Send(to int, tag Tag, data any, bytes int) {
 	if to < 0 || to >= r.w.n {
 		panic(fmt.Sprintf("par: send to invalid rank %d", to))
 	}
-	r.sendSeq++
-	m := Msg{
-		From:   r.ID,
-		To:     to,
-		Tag:    tag,
-		Data:   data,
-		Bytes:  bytes,
-		Arrive: r.Clock + r.w.model.CommTimeFor(r.ID, to, r.Clock, bytes),
-		flow:   uint64(r.ID+1)<<40 | r.sendSeq,
-	}
+	var m Msg
+	r.stamp(&m, to, tag, data, bytes)
 	if to == r.ID {
-		// Self-sends are free by design: a rank handing data to itself is
-		// a local buffer hand-off with no wire and no messaging-stack
-		// traversal — its (tiny) memory cost is already inside the compute
-		// model — so no latency share is charged and the message is
-		// available immediately (asserted by TestSelfSendIsFree). They are
-		// also never dropped: there is no wire to lose them on.
-		m.Arrive = r.Clock
-		if r.tr != nil {
-			r.emit(trace.KindSend, r.Clock, 0, tag, to, bytes, m.flow)
-		}
-		r.countSend(tag, bytes)
+		r.post(&m)
 		r.pending = append(r.pending, m)
 		return
 	}
@@ -749,20 +770,64 @@ func (r *Rank) Send(to int, tag Tag, data any, bytes int) {
 		// receiver can discover the loss in virtual time (RecvTimeout). A
 		// plain Recv on a tombstone panics: unguarded protocols must fail
 		// loudly, not silently read nil data.
-		m.Data, m.Lost = nil, true
-		r.Dropped++
-		if r.w.met != nil {
-			r.w.met.dropped.Add1(r.ID, int(tag), 1)
-		}
+		r.lose(&m)
 	}
-	// Sender-side software overhead: a fraction of latency.
-	ov := r.w.model.LatencySec * 0.25
-	if r.tr != nil {
-		r.emit(trace.KindSend, r.Clock, ov, tag, to, bytes, m.flow)
-	}
-	r.countSend(tag, bytes)
-	r.advance(ov)
+	r.post(&m)
 	r.deliver(to, tag, m)
+}
+
+// flowID names a rank's seq-th send; ids of one sender rise with seq.
+func flowID(from int, seq uint64) uint64 { return uint64(from+1)<<40 | seq }
+
+// stamp numbers the rank's next message and stamps it with its arrival time
+// under the world's model. A self-send is a local buffer hand-off with no
+// wire and no messaging-stack traversal — its (tiny) memory cost is already
+// inside the compute model — so it is available immediately (asserted by
+// TestSelfSendIsFree).
+func (r *Rank) stamp(m *Msg, to int, tag Tag, data any, bytes int) {
+	r.sendSeq++
+	*m = Msg{
+		From:   r.ID,
+		To:     to,
+		Tag:    tag,
+		Data:   data,
+		Bytes:  bytes,
+		Arrive: r.Clock,
+		flow:   flowID(r.ID, r.sendSeq),
+	}
+	if to != r.ID {
+		m.Arrive += r.w.model.CommTimeFor(r.ID, to, r.Clock, bytes)
+	}
+}
+
+// post hands a stamped message to the wire: tape, trace and metrics see the
+// send, and the sender pays its software overhead, a fraction of latency. A
+// self-send costs the sender nothing (and is never dropped: there is no
+// wire to lose it on).
+func (r *Rank) post(m *Msg) {
+	ov := 0.0
+	if m.To != r.ID {
+		ov = r.w.model.LatencySec * 0.25
+	}
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opSend, peer: int32(m.To), tag: int32(m.Tag), n: int64(m.Bytes)})
+	}
+	if r.tr != nil {
+		r.emit(trace.KindSend, r.Clock, ov, m.Tag, m.To, m.Bytes, m.flow)
+	}
+	r.countSend(m.Tag, m.Bytes)
+	r.advance(ov)
+}
+
+// lose turns a message the injector dropped into its tombstone and charges
+// the drop to the sender.
+func (r *Rank) lose(m *Msg) {
+	r.w.tape.Void("a message was dropped by fault injection")
+	m.Data, m.Lost = nil, true
+	r.Dropped++
+	if r.w.met != nil {
+		r.w.met.dropped.Add1(r.ID, int(m.Tag), 1)
+	}
 }
 
 // countSend records one wire hand-off in the metrics plane. It sits at
@@ -804,34 +869,18 @@ func (r *Rank) SendReliable(to int, tag Tag, data any, bytes int) bool {
 		panic(fmt.Sprintf("par: send to invalid rank %d", to))
 	}
 	for attempt := 0; ; attempt++ {
-		r.sendSeq++
-		m := Msg{
-			From:   r.ID,
-			To:     to,
-			Tag:    tag,
-			Data:   data,
-			Bytes:  bytes,
-			Arrive: r.Clock + r.w.model.CommTimeFor(r.ID, to, r.Clock, bytes),
-			flow:   uint64(r.ID+1)<<40 | r.sendSeq,
-		}
+		var m Msg
+		r.stamp(&m, to, tag, data, bytes)
 		dropped := r.w.inj.Drop(r.ID, to, int(tag), r.sendSeq)
 		if !dropped || attempt == maxSendRetries {
 			if dropped {
-				m.Data, m.Lost = nil, true
-				r.Dropped++
-				if r.w.met != nil {
-					r.w.met.dropped.Add1(r.ID, int(tag), 1)
-				}
+				r.lose(&m)
 			}
-			ov := r.w.model.LatencySec * 0.25
-			if r.tr != nil {
-				r.emit(trace.KindSend, r.Clock, ov, tag, to, bytes, m.flow)
-			}
-			r.countSend(tag, bytes)
-			r.advance(ov)
+			r.post(&m)
 			r.deliver(to, tag, m)
 			return !dropped
 		}
+		r.w.tape.Void("a send was retried under fault injection")
 		r.Dropped++
 		r.Retries++
 		if r.w.met != nil {
@@ -946,37 +995,44 @@ func (r *Rank) stash(m Msg) {
 	r.pending = append(r.pending, m)
 }
 
+// takePending matches and removes a delivered message. A wildcard takes the
+// earliest arrival (see Msg.before); a named sender's messages are taken in
+// the order it sent them.
 func (r *Rank) takePending(from int, tag Tag) (Msg, bool) {
+	at := -1
 	if from == AnyRank {
-		// The pending list is in physical-arrival order, which races between
-		// senders; match the deterministic minimum (Arrive, sender, sequence)
-		// instead so wildcard receives — and the trace event streams they
-		// emit — are reproducible run to run. Per-sender FIFO is preserved
-		// (the flow id is monotone per sender).
-		best := -1
-		for i, m := range r.pending {
-			if m.Tag != tag {
-				continue
-			}
-			if best < 0 || m.Arrive < r.pending[best].Arrive ||
-				(m.Arrive == r.pending[best].Arrive && m.flow < r.pending[best].flow) {
-				best = i
+		for i := range r.pending {
+			if m := &r.pending[i]; m.Tag == tag && (at < 0 || m.before(&r.pending[at])) {
+				at = i
 			}
 		}
-		if best < 0 {
-			return Msg{}, false
-		}
-		m := r.pending[best]
-		r.pending = append(r.pending[:best], r.pending[best+1:]...)
-		return m, true
-	}
-	for i, m := range r.pending {
-		if m.Tag == tag && m.From == from {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return m, true
+	} else {
+		for i := range r.pending {
+			if m := &r.pending[i]; m.Tag == tag && m.From == from {
+				at = i
+				break
+			}
 		}
 	}
-	return Msg{}, false
+	if at < 0 {
+		return Msg{}, false
+	}
+	m := r.pending[at]
+	r.pending = append(r.pending[:at], r.pending[at+1:]...)
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opRecv, wild: from == AnyRank, peer: int32(m.From),
+			tag: int32(tag), n: int64(m.flow - flowID(m.From, 0))})
+	}
+	return m, true
+}
+
+// before is the order in which wildcard receives take delivered messages.
+// The pending list is in physical-arrival order, which races between
+// senders; the deterministic minimum (Arrive, sender, sequence) makes
+// wildcard receives — and the trace event streams they emit — reproducible
+// run to run. Per-sender FIFO is preserved (the flow id rises per sender).
+func (m *Msg) before(o *Msg) bool {
+	return m.Arrive < o.Arrive || (m.Arrive == o.Arrive && m.flow < o.flow)
 }
 
 // takeTomb matches and removes a loss tombstone, same matching rule as
@@ -992,8 +1048,7 @@ func (r *Rank) takeTomb(from int, tag Tag) (Msg, bool) {
 }
 
 // barrierSync rendezvouses with all ranks and advances the clock to the
-// global max, attributing the jump to barrier wait and tracing the rank
-// whose clock set the release time.
+// global max.
 func (r *Rank) barrierSync() {
 	if len(r.tombs) > 0 {
 		// Loss tombstones do not survive a rendezvous: every lossy exchange
@@ -1004,7 +1059,16 @@ func (r *Rank) barrierSync() {
 	if r.w.met != nil {
 		r.w.met.barrier.Add1(r.ID, int(r.phase), 1)
 	}
-	maxClock, maxRank := r.w.bar.sync(r.Clock, r.ID, r.w)
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opSync})
+	}
+	r.syncTo(r.w.bar.sync(r.Clock, r.ID, r.w))
+}
+
+// syncTo leaves a rendezvous: the clock moves to the latest any rank brought
+// to it, the jump is attributed to barrier wait, and the trace names the
+// rank whose clock set the release time.
+func (r *Rank) syncTo(maxClock float64, maxRank int) {
 	if wait := maxClock - r.Clock; wait > 0 {
 		if r.tr != nil {
 			r.emit(trace.KindBarrier, r.Clock, wait, TagCollective, maxRank, 0, 0)
@@ -1021,6 +1085,14 @@ func (r *Rank) barrierSync() {
 // plus a small synchronization cost (a log2(n) latency tree).
 func (r *Rank) Barrier() {
 	r.barrierSync()
+	r.barrierCost()
+}
+
+// barrierCost charges the latency tree of one barrier.
+func (r *Rank) barrierCost() {
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opBarrierCost})
+	}
 	if r.w.n > 1 {
 		dt := r.w.model.LatencySec * log2ceil(r.w.n)
 		if r.tr != nil {
@@ -1055,6 +1127,9 @@ func (r *Rank) AllGather(x any, bytesPerItem int) []any {
 // virtual time and emit trace events identically.
 func (r *Rank) gatherCost(bytesPerItem int) {
 	w := r.w
+	if r.tp != nil {
+		r.tp.add(tapeOp{kind: opGatherCost, n: int64(bytesPerItem)})
+	}
 	if w.n > 1 {
 		depth := log2ceil(w.n)
 		dt := depth * (w.model.LatencySec + float64(bytesPerItem*w.n)/w.model.BandwidthBps)
@@ -1118,19 +1193,34 @@ func log2ceil(n int) float64 {
 	return d
 }
 
+// latest folds the clocks ranks bring to one rendezvous into the latest of
+// them and the rank that brought it (the rank that releases the others).
+// Equal clocks tie-break to the lowest rank id — never to the order of the
+// offers, which would make wait attribution (and traced event streams)
+// scheduler-dependent.
+type latest struct {
+	clock float64
+	rank  int
+	n     int // clocks offered so far
+}
+
+func (l *latest) offer(clock float64, rank int) {
+	if l.n == 0 || clock > l.clock || (clock == l.clock && rank < l.rank) {
+		l.clock, l.rank = clock, rank
+	}
+	l.n++
+}
+
 // barrier is a reusable n-party rendezvous that also computes the max clock
-// and which rank held it (the rank that releases the others).
+// and which rank held it.
 type barrier struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	n          int
-	waiting    int
-	gen        int
-	maxClock   float64
-	maxRank    int
-	result     float64
-	resultRank int
-	poisoned   bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	n        int
+	gen      int
+	cur      latest // the generation ranks are arriving at
+	result   latest // the generation that last completed
+	poisoned bool
 }
 
 func (b *barrier) init(n int) {
@@ -1139,32 +1229,29 @@ func (b *barrier) init(n int) {
 }
 
 // sync blocks until all n ranks have called it, then returns the maximum
-// clock passed by any rank in this generation and the rank that passed it.
-// Equal clocks tie-break to the lowest rank id — never to physical call
-// order, which would make wait attribution (and traced event streams)
-// scheduler-dependent. When the world has a parallelism gate, each waiter
-// hands its run slot back before parking — otherwise k-1 parked waiters
-// could starve the one rank still computing toward the rendezvous — and
-// re-acquires it after release, strictly outside b.mu.
+// clock passed by any rank in this generation and the rank that passed it
+// (see latest). When the world has a parallelism gate, each waiter hands its
+// run slot back before parking — otherwise k-1 parked waiters could starve
+// the one rank still computing toward the rendezvous — and re-acquires it
+// after release, strictly outside b.mu.
+//
+// A rendezvous that completed returns to every rank, even one that wakes to
+// find the world poisoned since: which ranks were still parked when a peer
+// died is host timing, and what a rank does between this return and its next
+// blocking call must not depend on it (core records a step's accounts
+// there). Such a rank meets the poison at that next call.
 func (b *barrier) sync(clock float64, rank int, w *World) (float64, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.poisoned {
 		panic("par: barrier poisoned by peer rank panic")
 	}
-	if b.waiting == 0 || clock > b.maxClock ||
-		(clock == b.maxClock && rank < b.maxRank) {
-		b.maxClock = clock
-		b.maxRank = rank
-	}
-	b.waiting++
-	if b.waiting == b.n {
-		b.result, b.resultRank = b.maxClock, b.maxRank
-		b.maxClock = 0
-		b.waiting = 0
+	b.cur.offer(clock, rank)
+	if b.cur.n == b.n {
+		b.result, b.cur = b.cur, latest{}
 		b.gen++
 		b.cond.Broadcast()
-		return b.result, b.resultRank
+		return b.result.clock, b.result.rank
 	}
 	gen := b.gen
 	for gen == b.gen && !b.poisoned {
@@ -1175,18 +1262,20 @@ func (b *barrier) sync(clock float64, rank int, w *World) (float64, int) {
 		w.gateRelease()
 		b.cond.Wait()
 		b.mu.Unlock()
+		// A false return means done is closed: the world is being poisoned
+		// (this barrier's own flag may lag by a few instructions), and the
+		// check below decides. Every later acquire fails fast, so running on
+		// without a slot cannot starve anyone.
 		ok := w.gateAcquire()
 		b.mu.Lock()
 		if !ok {
-			// done closed: the world is being poisoned (this barrier's own
-			// flag may lag by a few instructions).
-			panic("par: barrier poisoned by peer rank panic")
+			break
 		}
 	}
-	if b.poisoned {
+	if gen == b.gen {
 		panic("par: barrier poisoned by peer rank panic")
 	}
-	return b.result, b.resultRank
+	return b.result.clock, b.result.rank
 }
 
 func (b *barrier) poison() {

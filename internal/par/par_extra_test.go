@@ -99,21 +99,26 @@ func TestMessageOrderPreservedPerSender(t *testing.T) {
 	}
 }
 
-func TestElapseAttributesPhase(t *testing.T) {
+// Transfer costs CommTime of its bytes, in the phase it is made in.
+func TestTransferAttributesPhase(t *testing.T) {
 	w := testWorld(1)
 	ranks := w.Run(func(r *Rank) {
 		r.SetPhase(PhaseBalance)
-		r.Elapse(0.25)
+		r.Transfer(4000)
 		r.SetPhase(PhaseMotion)
-		r.Elapse(0.5)
+		r.Transfer(0)
+		r.Transfer(-8)
 	})
-	r := ranks[0]
-	if r.PhaseTime(PhaseBalance) != 0.25 || r.PhaseTime(PhaseMotion) != 0.5 {
+	m, r := w.Model(), ranks[0]
+	if r.PhaseTime(PhaseBalance) != m.CommTime(4000) || r.PhaseTime(PhaseMotion) != 2*m.LatencySec {
 		t.Errorf("phase times: balance %v motion %v",
 			r.PhaseTime(PhaseBalance), r.PhaseTime(PhaseMotion))
 	}
-	if r.Clock != 0.75 {
+	if r.Clock != m.CommTime(4000)+2*m.LatencySec {
 		t.Errorf("clock %v", r.Clock)
+	}
+	if r.TotalFlops() != 0 {
+		t.Errorf("a transfer charged %v flops", r.TotalFlops())
 	}
 }
 

@@ -5,9 +5,19 @@ import (
 	"testing"
 
 	"overd/internal/machine"
+	"overd/internal/trace"
 )
 
 func testWorld(n int) *World { return NewWorld(n, machine.SP2()) }
+
+// elapse puts a rank at a time of the test's choosing: seconds of busy time
+// in the current phase, traced like any other.
+func (r *Rank) elapse(seconds float64) {
+	if r.tr != nil && seconds > 0 {
+		r.emit(trace.KindElapse, r.Clock, seconds, 0, trace.NoPeer, 0, 0)
+	}
+	r.advance(seconds)
+}
 
 func TestSendRecvDelivers(t *testing.T) {
 	w := testWorld(2)
@@ -30,7 +40,7 @@ func TestRecvAdvancesClockToArrival(t *testing.T) {
 	var recvClock, sendArrive float64
 	w.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Elapse(1.0) // sender is ahead
+			r.elapse(1.0) // sender is ahead
 			r.Send(1, TagUser, nil, 4000)
 		} else {
 			m := r.Recv(0, TagUser)
@@ -57,7 +67,7 @@ func TestRecvDoesNotRewindClock(t *testing.T) {
 		if r.ID == 0 {
 			r.Send(1, TagUser, nil, 8)
 		} else {
-			r.Elapse(5.0) // receiver is far ahead
+			r.elapse(5.0) // receiver is far ahead
 			m := r.Recv(0, TagUser)
 			_ = m
 			recvClock = r.Clock
@@ -101,7 +111,7 @@ func TestSelfSend(t *testing.T) {
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	w := testWorld(4)
 	ranks := w.Run(func(r *Rank) {
-		r.Elapse(float64(r.ID)) // rank i at time i
+		r.elapse(float64(r.ID)) // rank i at time i
 		r.Barrier()
 	})
 	for _, r := range ranks {
@@ -121,7 +131,7 @@ func TestBarrierReusable(t *testing.T) {
 	w := testWorld(3)
 	ranks := w.Run(func(r *Rank) {
 		for i := 0; i < 10; i++ {
-			r.Elapse(float64(r.ID) * 0.1)
+			r.elapse(float64(r.ID) * 0.1)
 			r.Barrier()
 		}
 	})
@@ -285,7 +295,7 @@ func TestComputeZeroAndNegative(t *testing.T) {
 	ranks := w.Run(func(r *Rank) {
 		r.Compute(0)
 		r.Compute(-10)
-		r.Elapse(-1)
+		r.elapse(-1)
 	})
 	if ranks[0].Clock != 0 {
 		t.Errorf("clock = %v, want 0", ranks[0].Clock)

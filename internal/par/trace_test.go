@@ -87,7 +87,7 @@ func TestTraceBarrierEvents(t *testing.T) {
 	const n = 4
 	w, rec := tracedWorld(t, n)
 	ranks := w.Run(func(r *Rank) {
-		r.Elapse(float64(r.ID)) // rank i at clock i; rank 3 is slowest
+		r.elapse(float64(r.ID)) // rank i at clock i; rank 3 is slowest
 		r.Barrier()
 	})
 
@@ -136,7 +136,7 @@ func TestTraceAllGatherDeterministic(t *testing.T) {
 		w.SetTrace(rec)
 		var sums [3]float64
 		ranks := w.Run(func(r *Rank) {
-			r.Elapse(float64(r.ID) * 0.5)
+			r.elapse(float64(r.ID) * 0.5)
 			sums[r.ID] = r.AllReduceSum(float64(r.ID + 1))
 		})
 		clocks := make([]float64, 3)
@@ -193,7 +193,7 @@ func TestTraceAllGatherDeterministic(t *testing.T) {
 func TestSelfSendIsFree(t *testing.T) {
 	w := testWorld(1)
 	w.Run(func(r *Rank) {
-		r.Elapse(1.0)
+		r.elapse(1.0)
 		before := r.Clock
 		r.Send(0, TagUser, "x", 1<<20) // size must not matter
 		if r.Clock != before {
@@ -220,7 +220,7 @@ func TestWaitTimeAccounting(t *testing.T) {
 	w.Run(func(r *Rank) {
 		r.SetPhase(PhaseConnect)
 		if r.ID == 0 {
-			r.Elapse(1.0)
+			r.elapse(1.0)
 			r.Send(1, TagUser, nil, 4000)
 			r.Barrier()
 		} else {
@@ -243,7 +243,7 @@ func TestWaitTimeAccounting(t *testing.T) {
 }
 
 // TestUntracedHotPathNoAllocs asserts the zero-cost-when-disabled claim:
-// with no recorder attached, Compute, Elapse and a cross-rank Send/Recv pair
+// with no recorder attached, Compute, Transfer and a cross-rank Send/Recv pair
 // allocate nothing on the steady-state hot path.
 func TestUntracedHotPathNoAllocs(t *testing.T) {
 	pinOneProc(t)
@@ -254,9 +254,9 @@ func TestUntracedHotPathNoAllocs(t *testing.T) {
 			r.Send(1, TagUser, nil, 8)
 			if n := testing.AllocsPerRun(100, func() {
 				r.Compute(1000)
-				r.Elapse(1e-6)
+				r.Transfer(8)
 			}); n != 0 {
-				t.Errorf("untraced Compute/Elapse allocate %.1f objects/op", n)
+				t.Errorf("untraced Compute/Transfer allocate %.1f objects/op", n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				r.Send(1, TagUser, nil, 8)

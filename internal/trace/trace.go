@@ -28,8 +28,8 @@ type Kind uint8
 const (
 	// KindCompute is floating-point work charged through Rank.Compute.
 	KindCompute Kind = iota
-	// KindElapse is modeled memory/bookkeeping time charged through
-	// Rank.Elapse.
+	// KindElapse is modeled data movement without a message (redistribution
+	// traffic, checkpoint writes) charged through Rank.Transfer.
 	KindElapse
 	// KindSend is the sender-side software overhead of a message; its Flow
 	// field links it to the matching KindRecv on the destination rank.

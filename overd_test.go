@@ -93,7 +93,7 @@ func TestRunPerfTableSmallScale(t *testing.T) {
 		t.Skip("table run")
 	}
 	// A reduced Table-1-style sweep over two node counts.
-	tbl, err := runPerfTable("mini", OscillatingAirfoil, []int{6, 12}, Options{Scale: 0.05, Steps: 2})
+	tbl, err := newSweep(Options{Scale: 0.05, Steps: 2}).perfTable("mini", "airfoil", []int{6, 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -27,12 +26,7 @@ func ParseTableSelection(only string) (map[string]bool, error) {
 			continue
 		}
 		if !ValidTableIDs[id] {
-			valid := make([]string, 0, len(ValidTableIDs))
-			for k := range ValidTableIDs {
-				valid = append(valid, k)
-			}
-			sort.Strings(valid)
-			return nil, fmt.Errorf("unknown table %q (valid: %s)", id, strings.Join(valid, ", "))
+			return nil, fmt.Errorf("unknown table %q (valid: %s)", id, strings.Join(tableIDs, ", "))
 		}
 		want[id] = true
 	}
@@ -181,73 +175,56 @@ func EmitRunJSON(w io.Writer, res *Result) error {
 	return EmitRowsJSON(w, "run.steps", steps)
 }
 
+// tableIDs is the fixed order tables are run and written in.
+var tableIDs = []string{"1", "2", "3", "4", "5", "5f", "6"}
+
+// table runs one table: a *PerfTable for 1, 3 and 4, the table's slice of
+// rows for the others.
+func (s *sweep) table(id string) (any, error) {
+	switch id {
+	case "1":
+		return s.table1()
+	case "2":
+		return s.table2()
+	case "3":
+		return s.table3()
+	case "4":
+		return s.table4()
+	case "5":
+		return s.table5()
+	case "5f":
+		return s.table5Faulted(Table5Nodes)
+	case "6":
+		return s.table6()
+	}
+	return nil, fmt.Errorf("unknown table %q", id)
+}
+
 // EmitTablesJSON runs the selected tables (in fixed 1,2,3,4,5,5f,6 order)
 // and writes their rows as JSON lines. This is the single code path behind
 // `tables -json` and the bit-identity golden test: any change to the
 // simulation that alters a virtual clock, a table row, or a figure point
-// changes these bytes. The tables share one Storage.
+// changes these bytes. The tables share one Storage and one sweep, so a run
+// two tables ask for (Table 6's are Table 4's) is executed once.
 func EmitTablesJSON(w io.Writer, opt Options, want map[string]bool) error {
-	opt = opt.withDefaults()
-	if want["1"] {
-		t, err := RunTable1(opt)
+	return newSweep(opt).emitJSON(w, want)
+}
+
+func (s *sweep) emitJSON(w io.Writer, want map[string]bool) error {
+	for _, id := range tableIDs {
+		if !want[id] {
+			continue
+		}
+		t, err := s.table(id)
 		if err != nil {
 			return err
 		}
-		if err := EmitPerfTableJSON(w, "1", t); err != nil {
-			return err
+		if pt, ok := t.(*PerfTable); ok {
+			err = EmitPerfTableJSON(w, id, pt)
+		} else {
+			err = EmitRowsJSON(w, id, t)
 		}
-	}
-	if want["2"] {
-		rows, err := RunTable2(opt)
 		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "2", rows); err != nil {
-			return err
-		}
-	}
-	if want["3"] {
-		t, err := RunTable3(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitPerfTableJSON(w, "3", t); err != nil {
-			return err
-		}
-	}
-	if want["4"] {
-		t, err := RunTable4(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitPerfTableJSON(w, "4", t); err != nil {
-			return err
-		}
-	}
-	if want["5"] {
-		rows, err := RunTable5(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "5", rows); err != nil {
-			return err
-		}
-	}
-	if want["5f"] {
-		rows, err := RunTable5Faulted(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "5f", rows); err != nil {
-			return err
-		}
-	}
-	if want["6"] {
-		rows, err := RunTable6(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "6", rows); err != nil {
 			return err
 		}
 	}
