@@ -24,9 +24,9 @@ type Options struct {
 	// Each run resets it, so after a table sweep it holds the last run's
 	// series; attaching it never changes virtual times or table values.
 	Metrics *MetricsRegistry
-	// Storage, when non-nil, is the slab store every run draws on
+	// Storage, when non-nil, is the store every run draws on
 	// (Config.Storage), so that sweeps run one after another reuse one
-	// another's block memory. Nil gives each RunTableN / RunBalancerSweep
+	// another's block memory and buffers. Nil gives each RunTableN / RunBalancerSweep
 	// call a store of its own for its rows, and EmitTablesJSON one for the
 	// tables it runs. It never changes a table value.
 	Storage *Storage

@@ -43,6 +43,37 @@ type Case struct {
 	ForceRef geom.Vec3
 }
 
+// Placement is where a case's moving parts are: every grid's absolute
+// placement and the force-coupled body's state. A run moves its case; this
+// is what puts it back, for the next run to start where the last one did.
+type Placement struct {
+	xforms []geom.Transform
+	body   *sixdof.State // nil if no body is force-coupled
+}
+
+// Placement records where c's moving parts are now.
+func (c *Case) Placement() Placement {
+	p := Placement{xforms: make([]geom.Transform, len(c.Sys.Grids))}
+	for gi, g := range c.Sys.Grids {
+		p.xforms[gi] = g.Xform
+	}
+	if c.FreeBody != nil {
+		s := c.FreeBody.State
+		p.body = &s
+	}
+	return p
+}
+
+// Restore puts c, the case p was taken from, back where p found it.
+func (p Placement) Restore(c *Case) {
+	for gi, g := range c.Sys.Grids {
+		g.ApplyTransform(p.xforms[gi])
+	}
+	if c.FreeBody != nil && p.body != nil {
+		c.FreeBody.State = *p.body
+	}
+}
+
 // GridSizes returns the per-component gridpoint counts (Algorithm 1 input).
 func (c *Case) GridSizes() []int {
 	sizes := make([]int, len(c.Sys.Grids))

@@ -2,10 +2,8 @@ package core
 
 import (
 	"overd/internal/cases"
-	"overd/internal/geom"
 	"overd/internal/metrics"
 	"overd/internal/par"
-	"overd/internal/sixdof"
 )
 
 // checkpoint is an in-memory snapshot of everything a restart needs to
@@ -21,41 +19,12 @@ type checkpoint struct {
 	dt    float64 // frozen timestep of the run
 	clock float64 // global virtual clock at capture (all ranks equal here)
 
-	placement
+	cases.Placement
 	// q holds each grid's conserved variables in global index space,
 	// 5 values per point (freestream where no rank owned the point).
 	q [][]float64
 
 	stats []StepStats // per-step statistics for steps [0, step)
-}
-
-// placement is where a case's moving parts are: every grid's absolute
-// placement and the force-coupled body's state. A run moves its case; this
-// is what puts it back.
-type placement struct {
-	xforms []geom.Transform
-	body   *sixdof.State // nil if no body is force-coupled
-}
-
-func placementOf(c *cases.Case) placement {
-	p := placement{xforms: make([]geom.Transform, len(c.Sys.Grids))}
-	for gi, g := range c.Sys.Grids {
-		p.xforms[gi] = g.Xform
-	}
-	if c.FreeBody != nil {
-		s := c.FreeBody.State
-		p.body = &s
-	}
-	return p
-}
-
-func (p placement) restore(c *cases.Case) {
-	for gi, g := range c.Sys.Grids {
-		g.ApplyTransform(p.xforms[gi])
-	}
-	if c.FreeBody != nil && p.body != nil {
-		c.FreeBody.State = *p.body
-	}
 }
 
 // bytesPerCheckpointPoint models the serialized size of one gridpoint's
@@ -90,7 +59,7 @@ func (st *runState) writeCheckpoint(r *par.Rank, stepDone int) {
 // capture builds the snapshot (rank 0 only; peers quiescent).
 func (st *runState) capture(r *par.Rank, stepDone int) *checkpoint {
 	c := st.cfg.Case
-	ck := &checkpoint{step: stepDone, dt: st.dt, clock: r.Clock, placement: placementOf(c)}
+	ck := &checkpoint{step: stepDone, dt: st.dt, clock: r.Clock, Placement: c.Placement()}
 	ck.q = make([][]float64, len(c.Sys.Grids))
 	for gi, g := range c.Sys.Grids {
 		ck.q[gi] = make([]float64, 5*g.NPoints())
@@ -121,7 +90,7 @@ func (st *runState) capture(r *par.Rank, stepDone int) *checkpoint {
 // original frozen dt, and the conserved field is reloaded into the new
 // partition's blocks as they are built (see loadQ).
 func (st *runState) restoreFrom(ck *checkpoint) {
-	ck.placement.restore(st.cfg.Case)
+	ck.Placement.Restore(st.cfg.Case)
 	st.startStep = ck.step
 	st.dt = ck.dt
 	st.restored = true

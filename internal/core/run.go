@@ -58,9 +58,9 @@ type Config struct {
 	// the job service may vary it per job without perturbing the
 	// content-addressed result cache.
 	Workers int
-	// Storage, when non-nil, is where the run takes the memory its blocks
-	// are built in and where it leaves that memory for the next run (see
-	// Storage). Like Workers it is a host-side resource control only: nil —
+	// Storage, when non-nil, is where the run takes what it builds by first
+	// use — block memory, per-rank buffers — and leaves it for the next run
+	// (see Storage). Like Workers it is a host-side resource control only: nil —
 	// allocate, then drop — and any Storage, whatever it held before, yield
 	// bit-identical results. Result.Config does not keep it.
 	Storage *Storage
@@ -292,7 +292,7 @@ func RunOn(cfg Config, machines ...machine.Model) (results []*Result, executed i
 		return nil, 0, fmt.Errorf("core: no machine to run on")
 	}
 	var tape *par.Tape
-	var initial placement
+	var initial cases.Placement
 	if len(machines) > 1 {
 		if cfg.Trace == nil && cfg.Metrics == nil && cfg.Faults == nil &&
 			cfg.OnStep == nil && cfg.Interrupt == nil && cfg.CheckpointEvery == 0 {
@@ -301,7 +301,7 @@ func RunOn(cfg Config, machines ...machine.Model) (results []*Result, executed i
 		}
 		// A run moves its case; one that re-executes starts where the first
 		// did.
-		initial = placementOf(cfg.Case)
+		initial = cfg.Case.Placement()
 	}
 	cfg.Machine = machines[0]
 	first, err := execute(cfg, tape)
@@ -319,7 +319,7 @@ func RunOn(cfg Config, machines ...machine.Model) (results []*Result, executed i
 		if retimes {
 			res, err = retime(first, tape, m)
 		} else {
-			initial.restore(cfg.Case)
+			initial.Restore(cfg.Case)
 			cfg.Machine = m
 			res, err = execute(cfg, nil)
 			executed++
@@ -429,7 +429,7 @@ func execute(cfg Config, tape *par.Tape) (*Result, error) {
 			tape.Void("a fault plan is attached")
 		}
 		st := newRunState(cfg, plan)
-		st.storage = storage
+		st.storage, st.kit = storage, storage.getKit(nodes)
 		st.layoutBlocks()
 		st.eng, st.ckEvery = eng, ckEvery
 		st.balInput = input
@@ -448,12 +448,13 @@ func execute(cfg Config, tape *par.Tape) (*Result, error) {
 
 		ranks, err := world.RunErr(func(r *par.Rank) { st.rankMain(r) })
 		// The last reader of the blocks is finish (sampling); after it the
-		// attempt's slab goes back, however the attempt ended.
+		// attempt's slab and kit go back, however the attempt ended.
 		var done *Result
 		if err == nil && st.stopErr == nil {
 			done = st.finish()
 		}
 		storage.put(st.slab)
+		storage.putKit(st.kit)
 		// What the attempt is charged: all its ranks did if it finished, what
 		// they had done as the crash step began if it died. (Where each
 		// survivor was when the poison reached it is host timing.)
@@ -603,17 +604,16 @@ type runState struct {
 	solvers []*dcf.Solver
 
 	// The blocks' memory: every block of the current plan lives in its
-	// range (layout) of one slab taken from storage, which may be nil.
-	// Written by layoutBlocks only.
-	storage *Storage
-	layout  *blockLayout
-	slab    []float64
+	// range (layout) of one slab taken from storage, which may be nil;
+	// slabZeroed says the slab came new. Written by layoutBlocks only.
+	storage    *Storage
+	layout     *blockLayout
+	slab       []float64
+	slabZeroed bool
 
-	// World-shared per-rank envelope arenas, attached to every block and
-	// solver (including post-repartition rebuilds) so hot-path envelope
-	// reuse never contends across ranks at GOMAXPROCS > 1.
-	flowAr *flow.Arenas
-	dcfAr  *dcf.Arenas
+	// The world's envelope arenas and per-rank first-use buffers, from
+	// storage, attached to every block and solver (see buildRank).
+	kit kit
 
 	dt float64
 
@@ -664,20 +664,10 @@ func newRunState(cfg Config, plan *balance.Plan) *runState {
 		plan:      plan,
 		blocks:    make([]*flow.Block, n),
 		solvers:   make([]*dcf.Solver, n),
-		flowAr:    flow.NewArenas(n),
-		dcfAr:     dcf.NewArenas(n),
 		preFlops:  make([]float64, n),
 		tops:      make([]tally, n),
 		prevClock: make([]float64, n),
 		prevWait:  make([]float64, n),
 	}
 	return st
-}
-
-func dcfParts(plan *balance.Plan) []dcf.Part {
-	parts := make([]dcf.Part, plan.NP())
-	for i, p := range plan.Parts {
-		parts[i] = dcf.Part{Grid: p.Grid, Rank: p.Rank, Box: p.Box}
-	}
-	return parts
 }

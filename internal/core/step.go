@@ -2,7 +2,6 @@ package core
 
 import (
 	"overd/internal/balance"
-	"overd/internal/dcf"
 	"overd/internal/flow"
 	"overd/internal/geom"
 	"overd/internal/par"
@@ -17,15 +16,15 @@ func (st *runState) rankMain(r *par.Rank) {
 
 	// ---- Preprocessing (excluded from statistics, like the paper's). ----
 	r.SetPhase(par.PhaseOther)
-	st.buildBlock(r.ID)
+	st.buildRank(r.ID)
 	if st.restoreQ != nil {
 		// Restarting after an injected crash: reload the checkpointed
 		// conserved field into the new partition's block.
 		st.loadQ(r.ID)
 	}
+	// Two barriers: the modeled set-up synchronizes once after the blocks
+	// and once after the solvers.
 	r.Barrier()
-	st.solvers[r.ID] = dcf.NewSolver(c.Overset, dcfParts(st.plan), r.ID)
-	st.solvers[r.ID].UseArenas(st.dcfAr)
 	r.Barrier()
 	// Initial connectivity (from scratch) and fringe data.
 	st.solvers[r.ID].Solve(r)
@@ -348,7 +347,7 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 
 	// Build my new block in the new slab, copy conserved data into it from
 	// the old owners, and charge the modeled redistribution traffic.
-	st.buildBlock(r.ID)
+	st.buildRank(r.ID)
 	b := st.blocks[r.ID]
 	part := st.plan.Parts[r.ID]
 	moved := 0
@@ -371,8 +370,6 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 	r.Transfer(moved * 40)
 	r.Compute(float64(part.Box.Count()) * 10)
 
-	st.solvers[r.ID] = dcf.NewSolver(st.cfg.Case.Overset, dcfParts(st.plan), r.ID)
-	st.solvers[r.ID].UseArenas(st.dcfAr)
 	r.Barrier()
 	if r.ID == 0 {
 		// Every rank is done reading the old blocks.

@@ -6,49 +6,42 @@ import (
 
 	"overd/internal/balance"
 	"overd/internal/cases"
+	"overd/internal/dcf"
 	"overd/internal/flow"
 	"overd/internal/grid"
 	"overd/internal/par"
 )
 
-// Storage is a free list of world slabs — the one piece of memory all of a
-// run's blocks are built in — that a caller owns and hands to consecutive
-// runs through Config.Storage, so the next row of a table rebuilds its
-// blocks in the memory the last row is done with. A run takes a slab when it
-// lays out its blocks (again when it repartitions or restarts after a
-// crash) and gives every one back before Run returns. Slabs are made with
-// their capacity rounded up to a power of two, so that the slightly larger
-// slab the same case needs on more ranks still fits. Safe for concurrent
-// runs; the nil Storage allocates every slab afresh and keeps none.
-//
-// Nothing bounds what a Storage holds beyond the slabs that were in use at
-// once: drop it with the sweep it served. The rounding commits up to twice
-// the bytes a run asked for (a slab just over a power of two), and a run
-// that repartitions holds two slabs while it copies Q across. A get that no
-// free slab satisfies lets all of them go, which suits a sweep that runs its
-// rows one after another, small cases first; concurrent runs of different
-// sizes may share a Storage safely but the larger one's misses throw away
-// slabs the smaller one would have reused — results never depend on it.
-//
-// A Storage also keeps the tape a RunOn recorded its execution on (see
-// par.Tape) for the next RunOn to record over: a tape is done with when RunOn
-// returns, and a sweep's worth of them is otherwise a tenth of what the sweep
-// allocates.
+// Storage keeps, between the runs handed it through Config.Storage, what a
+// run builds by first use and is done with when it returns — world slab, kit
+// of per-rank buffers and arenas, tape — each cleared, emptied or length-reset
+// when taken, so any Storage and nil (make and drop, same code) give identical
+// results. Safe for concurrent runs; it holds at most their peak (DESIGN.md).
 type Storage struct {
 	mu    sync.Mutex
 	free  [][]float64
+	kits  []kit
 	tapes []*par.Tape
+}
+
+// kit is the first-use buffers of one world's ranks, which flow.Arenas and
+// dcf.Arenas lend to the rank's block and solver: attached to every one a run
+// builds, so a repartition inherits them as the next run does.
+type kit struct {
+	flow *flow.Arenas
+	dcf  *dcf.Arenas
 }
 
 // NewStorage returns an empty Storage.
 func NewStorage() *Storage { return &Storage{} }
 
-// get returns a slab of n values with unspecified contents: the free slab
-// of least sufficient capacity, or a new one. A miss means every free slab
-// is too small for the sweep's current case, so they are let go.
-func (s *Storage) get(n int) []float64 {
+// get returns a slab of n values — the free slab of least sufficient
+// capacity, its contents unspecified, or a new one — and whether it is new
+// and so holds zeros. A miss means every free slab is too small for the
+// sweep's current case, so they are let go.
+func (s *Storage) get(n int) (slab []float64, zeroed bool) {
 	if s == nil {
-		return make([]float64, n)
+		return make([]float64, n), true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -60,13 +53,13 @@ func (s *Storage) get(n int) []float64 {
 	}
 	if best < 0 {
 		s.free = nil
-		return make([]float64, n, 1<<bits.Len(uint(n-1)))
+		return make([]float64, n, 1<<bits.Len(uint(n-1))), true
 	}
 	b := s.free[best]
 	last := len(s.free) - 1
 	s.free[best], s.free[last] = s.free[last], nil
 	s.free = s.free[:last]
-	return b[:n]
+	return b[:n], false
 }
 
 // put gives a slab from get back; the caller keeps no reference into it.
@@ -76,6 +69,35 @@ func (s *Storage) put(b []float64) {
 	}
 	s.mu.Lock()
 	s.free = append(s.free, b)
+	s.mu.Unlock()
+}
+
+// getKit returns a kit fitted to an n-rank world: the one given back last,
+// or a new one.
+func (s *Storage) getKit(n int) kit {
+	var k kit
+	if s != nil {
+		s.mu.Lock()
+		if last := len(s.kits) - 1; last >= 0 {
+			k, s.kits = s.kits[last], s.kits[:last]
+		}
+		s.mu.Unlock()
+	}
+	if k.flow == nil {
+		k = kit{new(flow.Arenas), new(dcf.Arenas)}
+	}
+	k.flow.Resize(n)
+	k.dcf.Resize(n)
+	return k
+}
+
+// putKit gives a kit from getKit back; its world's goroutines have joined.
+func (s *Storage) putKit(k kit) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.kits = append(s.kits, k)
 	s.mu.Unlock()
 }
 
@@ -118,6 +140,8 @@ type blockLayout struct {
 	// total is the slab's length.
 	off   []int
 	total int
+	// parts is the plan as every rank's dcf.Solver reads it.
+	parts []dcf.Part
 }
 
 func newBlockLayout(c *cases.Case, plan *balance.Plan) *blockLayout {
@@ -126,8 +150,10 @@ func newBlockLayout(c *cases.Case, plan *balance.Plan) *blockLayout {
 		ranks: make([][]int, len(c.Sys.Grids)),
 		self:  make([]int, plan.NP()),
 		off:   make([]int, plan.NP()),
+		parts: make([]dcf.Part, plan.NP()),
 	}
 	for rank, part := range plan.Parts {
+		l.parts[rank] = dcf.Part{Grid: part.Grid, Rank: part.Rank, Box: part.Box}
 		l.self[rank] = len(l.boxes[part.Grid])
 		l.boxes[part.Grid] = append(l.boxes[part.Grid], part.Box)
 		l.ranks[part.Grid] = append(l.ranks[part.Grid], rank)
@@ -142,23 +168,30 @@ func newBlockLayout(c *cases.Case, plan *balance.Plan) *blockLayout {
 // parked on a barrier.
 func (st *runState) layoutBlocks() {
 	st.layout = newBlockLayout(st.cfg.Case, st.plan)
-	st.slab = st.storage.get(st.layout.total)
+	st.slab, st.slabZeroed = st.storage.get(st.layout.total)
 }
 
-// buildBlock constructs rank's block for the current plan in its range of
-// the world slab. Every rank builds its own: construction reads the shared
-// grid geometry and writes only the rank's range and its st.blocks entry.
-func (st *runState) buildBlock(rank int) {
+// buildRank constructs rank's block and connectivity solver for the current
+// plan, the block in its range of the world slab — cleared first, unless the
+// slab came zeroed — and both on the world's kit. Every rank builds its own:
+// construction reads the shared grid geometry and layout and writes only the
+// rank's range, its buffers in the kit and its st.blocks and st.solvers
+// entries.
+func (st *runState) buildRank(rank int) {
 	c := st.cfg.Case
 	part := st.plan.Parts[rank]
 	g := c.Sys.Grids[part.Grid]
 	l := st.layout
-	lo := l.off[rank]
-	b := flow.BuildBlock(g, l.boxes[part.Grid], l.ranks[part.Grid], l.self[rank], c.FS,
-		st.slab[lo:lo+flow.StoreLen(g, part.Box)])
+	store := st.slab[l.off[rank] : l.off[rank]+flow.StoreLen(g, part.Box)]
+	if !st.slabZeroed {
+		clear(store)
+	}
+	b := flow.BuildBlock(g, l.boxes[part.Grid], l.ranks[part.Grid], l.self[rank], c.FS, store)
 	if c.ViscousAll {
 		b.SetViscousDirs([3]bool{true, true, true})
 	}
-	b.UseArenas(st.flowAr)
+	b.UseArenas(st.kit.flow)
 	st.blocks[rank] = b
+	st.solvers[rank] = dcf.NewSolver(c.Overset, l.parts, rank)
+	st.solvers[rank].UseArenas(st.kit.dcf)
 }

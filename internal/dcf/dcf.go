@@ -52,20 +52,10 @@ type Solver struct {
 	Parts []Part // indexed by rank
 	Rank  int    // my rank
 
-	// igbps are my owned fringe points from the latest solve.
-	igbps []overset.IGBP
-	// donors are parallel to igbps (Grid < 0 = orphan).
-	donors []overset.Donor
-	// donorRank is the rank that serves each donor.
-	donorRank []int
-
-	// restart: previous donors per packed IGBP key for nth-level restart.
-	restart map[restartKey]restartHint
-
-	// sendList: interpolation duties this rank owes others, rebuilt each
-	// connectivity solve. Indexed by receiver rank; an empty slice means no
-	// duties (dense per-rank buckets, reused across solves).
-	sendList [][]sendEntry
+	// The rank's connectivity state and per-solve scratch: own, or its
+	// rank's in the attached Arenas.
+	*bufs
+	own bufs
 
 	// ReceivedIGBPs is I(p): the number of non-local IGBP search requests
 	// this rank serviced in the latest solve.
@@ -94,13 +84,45 @@ type Solver struct {
 	met *solverMetrics
 
 	// ar, when non-nil, holds the world-shared per-rank arenas of fringe-
-	// value envelopes (see UseArenas). Nil falls back to the global pool.
+	// value envelopes and this rank's bufs (see UseArenas). Nil allocates an
+	// envelope per batch.
 	ar *Arenas
 
-	// Reusable per-solve scratch. Everything below changes host allocation
-	// and host time only, never modeled time (see DESIGN.md, "Wall-clock vs
-	// virtual time"). Nothing here is configured: buckets are sized by the
-	// world, the walk memo by the requests this rank served one solve ago.
+	anyLostFwds bool
+
+	// What stays true while my grid does not move (xf is its Xform at the
+	// latest solve, stamped false before the first): the subdomain's bounds
+	// and the coordinate part of every donor walk served, in bufs.memo.
+	// memoReqs counts the walks of the latest solve and sizes the table.
+	xf       geom.Transform
+	stamped  bool
+	myBounds geom.Box
+	memoReqs int
+}
+
+// bufs is everything a rank's solver sizes by first use: the connectivity
+// state of the latest solve and the per-solve scratch. It changes host
+// allocation and host time only, never modeled time. Nothing here is
+// configured: buckets are sized by the world, the walk memo by the requests
+// this rank served one solve ago. A solver owns one, or is lent its rank's by
+// an Arenas, which hands it to the rank's next solver — after a repartition,
+// or in the next run — reset, its capacities kept.
+type bufs struct {
+	// igbps are my owned fringe points from the latest solve.
+	igbps []overset.IGBP
+	// donors are parallel to igbps (Grid < 0 = orphan).
+	donors []overset.Donor
+	// donorRank is the rank that serves each donor.
+	donorRank []int
+
+	// restart: previous donors per packed IGBP key for nth-level restart.
+	restart map[restartKey]restartHint
+
+	// sendList: interpolation duties this rank owes others, rebuilt each
+	// connectivity solve. Indexed by receiver rank; an empty slice means no
+	// duties (dense per-rank buckets, reused across solves).
+	sendList [][]sendEntry
+
 	// The per-destination request/reply buckets are dense rank-indexed
 	// slices: iterating them in index order IS the sorted-key order the old
 	// map-based buckets had to sort into, so sends stay deterministic by
@@ -117,33 +139,39 @@ type Solver struct {
 	// barrier. Forwards are appended to fwdbox during the very Phase B in
 	// which the previous round's forwards are read, hence their copy into
 	// fwdBuf at send time.
-	pend        []pendingPt // dense, indexed by IGBP id
-	outbox      []reqMsg    // destination rank -> queued requests
-	outboxNext  []reqMsg    // double buffer for lost-send requeues
-	fwdbox      [][]ptReq   // destination rank -> forwards
-	fwdBuf      []reqMsg    // destination rank -> forwards as sent
-	replies     []repMsg    // origin rank -> computed replies
-	lostFwds    [][]ptRep   // origin rank -> broken-chain failure replies
-	anyLostFwds bool
-	rankBounds  []geom.Box
-	inbound     []par.Msg
-	cands       []int     // candidate-rank scratch for advance
-	candD       []float64 // distances parallel to cands
-	gridIx      overset.GridRankIndex
-	gridOf      []int  // scratch for rebuilding gridIx: grid per rank
-	expect      []bool // fringe-update receive set, indexed by rank
-	marks       []int  // fringe-mark scratch, reused per layer
+	pend       []pendingPt // dense, indexed by IGBP id
+	outbox     []reqMsg    // destination rank -> queued requests
+	outboxNext []reqMsg    // double buffer for lost-send requeues
+	fwdbox     [][]ptReq   // destination rank -> forwards
+	fwdBuf     []reqMsg    // destination rank -> forwards as sent
+	replies    []repMsg    // origin rank -> computed replies
+	lostFwds   [][]ptRep   // origin rank -> broken-chain failure replies
+	rankBounds []geom.Box
+	inbound    []par.Msg
+	cands      []int     // candidate-rank scratch for advance
+	candD      []float64 // distances parallel to cands
+	gridIx     overset.GridRankIndex
+	gridOf     []int  // scratch for rebuilding gridIx: grid per rank
+	expect     []bool // fringe-update receive set, indexed by rank
+	marks      []int  // fringe-mark scratch, reused per layer
 
-	// What stays true while my grid does not move (xf is its Xform at the
-	// latest solve, stamped false before the first): the subdomain's bounds
-	// and the coordinate part of every donor walk served. memo is a
-	// direct-mapped table, nil for a grid that moved or resolves directly;
-	// memoReqs counts the walks of the latest solve and sizes the table.
-	xf       geom.Transform
-	stamped  bool
-	myBounds geom.Box
-	memo     []walkSlot
-	memoReqs int
+	// memo is the direct-mapped table of remembered walks (see walk): empty
+	// for a grid that moved or resolves directly.
+	memo []walkSlot
+}
+
+// reset empties b for a new solver: nothing the last one left is read, its
+// restart hints least of all (their keys are another partition's, or another
+// run's, coordinates). The per-rank buckets are length-reset by the Solve that
+// sizes them — the send lists here as well, because UpdateFringes reads them
+// — and the memo by the first Solve, which a new solver enters unstamped.
+func (b *bufs) reset() {
+	b.igbps, b.donors, b.donorRank = b.igbps[:0], b.donors[:0], b.donorRank[:0]
+	clear(b.restart)
+	b.sendList = b.sendList[:cap(b.sendList)]
+	for i := range b.sendList {
+		b.sendList[i] = b.sendList[i][:0]
+	}
 }
 
 // restartKey is an IGBP identity (grid, i, j, k) packed into one word: map
@@ -186,46 +214,54 @@ const chainRestartBudget = 3
 
 type reqMsg struct{ Pts []ptReq }
 
-// valPool backs fringe-value envelopes for solvers without an attached
-// Arenas (tests, ad-hoc worlds). Fringe values have no barrier between a
-// receiver's read and the sender's next step, so unlike request and reply
-// batches (see Solver) their envelopes travel: the sender Gets one, the
-// receiver copies the contents out and Puts it into its own shard.
-var valPool par.Pool[valMsg]
-
-// Arenas holds one world's per-rank sharded arena of fringe-value envelopes
-// (see par.Arena): every rank's solver Gets from and Puts to its own shard,
-// so steady-state envelope reuse never contends across ranks. One Arenas is
-// shared by all of a world's solvers and survives repartitions (rank count
-// is stable).
+// Arenas holds what one world's solvers make by first use and the next
+// world's can use again: the per-rank sharded arena of fringe-value envelopes
+// (see par.Arena) and every rank's bufs. Fringe values have no barrier
+// between a receiver's read and the sender's next step, so unlike request
+// and reply batches (see bufs) their envelopes travel: the sender Gets one,
+// the receiver copies the contents out and Puts it into its own shard. One
+// Arenas is shared by all of a world's solvers and survives repartitions
+// (rank count is stable).
 type Arenas struct {
-	val par.Arena[valMsg]
+	val  par.Arena[valMsg]
+	bufs []bufs // indexed by rank
 }
 
-// NewArenas sizes envelope arenas for an n-rank world.
+// NewArenas sizes arenas for an n-rank world.
 func NewArenas(n int) *Arenas {
 	a := &Arenas{}
-	a.val.Init(n)
+	a.Resize(n)
 	return a
 }
 
-// UseArenas attaches shared per-rank envelope arenas; pass nil to fall back
-// to the process-global pool. Affects host allocation behavior only.
-func (s *Solver) UseArenas(a *Arenas) { s.ar = a }
+// Resize fits a to an n-rank world, while no world runs on it; what ranks
+// beyond n left waits for a world that has such ranks.
+func (a *Arenas) Resize(n int) {
+	a.val.Init(n)
+	a.bufs = par.Resized(a.bufs, n)
+}
+
+// UseArenas attaches the world's arenas before the first Solve: s takes its
+// envelopes from its rank's shard and works in its rank's bufs, reset. Nil
+// leaves s its own. Affects host allocation behavior only.
+func (s *Solver) UseArenas(a *Arenas) {
+	if s.ar = a; a != nil {
+		s.bufs = &a.bufs[s.Rank]
+		s.bufs.reset()
+	}
+}
 
 func (s *Solver) getVal() *valMsg {
 	if s.ar != nil {
 		return s.ar.val.Get(s.Rank)
 	}
-	return valPool.Get()
+	return new(valMsg)
 }
 
 func (s *Solver) putVal(x *valMsg) {
 	if s.ar != nil {
 		s.ar.val.Put(s.Rank, x)
-		return
 	}
-	valPool.Put(x)
 }
 
 type ptRep struct {
@@ -244,12 +280,9 @@ type valMsg struct {
 
 // NewSolver builds a rank-local connectivity solver.
 func NewSolver(cfg *overset.Config, parts []Part, rank int) *Solver {
-	return &Solver{
-		Cfg:     cfg,
-		Parts:   parts,
-		Rank:    rank,
-		restart: make(map[restartKey]restartHint),
-	}
+	s := &Solver{Cfg: cfg, Parts: parts, Rank: rank}
+	s.bufs = &s.own
+	return s
 }
 
 // InvalidateRestart drops the nth-level restart hints (after repartition).
@@ -257,21 +290,23 @@ func (s *Solver) InvalidateRestart() {
 	clear(s.restart)
 }
 
-// ensureWorld sizes the per-rank scratch buckets and builds the per-grid
-// rank index (the donor-grid candidate lookup accelerator: advance and
-// rankOfCell scan only the ranks owning the donor grid instead of every
-// part). Idempotent while the world size is stable.
+// ensureWorld makes the restart map, sizes the per-rank scratch buckets and
+// builds the per-grid rank index (the donor-grid candidate lookup
+// accelerator: advance and rankOfCell scan only the ranks owning the donor
+// grid instead of every part). Idempotent while the world size is stable.
 func (s *Solver) ensureWorld() {
-	n := len(s.Parts)
-	if len(s.outbox) != n {
-		s.outbox = make([]reqMsg, n)
-		s.outboxNext = make([]reqMsg, n)
-		s.fwdbox = make([][]ptReq, n)
-		s.fwdBuf = make([]reqMsg, n)
-		s.replies = make([]repMsg, n)
-		s.lostFwds = make([][]ptRep, n)
-		s.sendList = make([][]sendEntry, n)
-		s.expect = make([]bool, n)
+	if s.restart == nil {
+		s.restart = make(map[restartKey]restartHint)
+	}
+	if n := len(s.Parts); len(s.outbox) != n {
+		s.outbox = par.Resized(s.outbox, n)
+		s.outboxNext = par.Resized(s.outboxNext, n)
+		s.fwdbox = par.Resized(s.fwdbox, n)
+		s.fwdBuf = par.Resized(s.fwdBuf, n)
+		s.replies = par.Resized(s.replies, n)
+		s.lostFwds = par.Resized(s.lostFwds, n)
+		s.sendList = par.Resized(s.sendList, n)
+		s.expect = par.Resized(s.expect, n)
 	}
 	s.gridOf = s.gridOf[:0]
 	for _, p := range s.Parts { // Parts is rank-indexed: ascending ranks

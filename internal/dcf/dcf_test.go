@@ -203,7 +203,7 @@ func TestUpdateFringesDeliversInterpolatedData(t *testing.T) {
 func TestInvalidateRestart(t *testing.T) {
 	cfg, parts, _ := testSystem(t, 3)
 	s := NewSolver(cfg, parts, 0)
-	s.restart[packRestartKey(0, 1, 2, 0)] = restartHint{}
+	s.restart = map[restartKey]restartHint{packRestartKey(0, 1, 2, 0): {}}
 	s.InvalidateRestart()
 	if len(s.restart) != 0 {
 		t.Error("restart map should be empty")
@@ -212,7 +212,7 @@ func TestInvalidateRestart(t *testing.T) {
 
 func TestRankOfCell(t *testing.T) {
 	_, parts, _ := testSystem(t, 6)
-	s := &Solver{Parts: parts}
+	s := &Solver{Parts: parts, bufs: &bufs{}}
 	for _, p := range parts {
 		if got := s.rankOfCell(p.Grid, [3]int{p.Box.ILo, p.Box.JLo, p.Box.KLo}); got != p.Rank {
 			t.Errorf("rankOfCell(%d, corner of rank %d) = %d", p.Grid, p.Rank, got)
@@ -234,6 +234,50 @@ func TestSolveChargesConnectPhase(t *testing.T) {
 	for _, r := range ranks {
 		if r.PhaseTime(par.PhaseConnect) <= 0 {
 			t.Errorf("rank %d: no connect-phase time", r.ID)
+		}
+	}
+}
+
+// A solver lent its rank's buffers by an Arenas that served another world
+// starts as a new solver does — no fringe points, donors, hints or
+// interpolation duties — with the capacities the last one left.
+func TestUseArenasStartsEmpty(t *testing.T) {
+	cfg, parts, _ := testSystem(t, 6)
+	arenas := NewArenas(6)
+	solvers := make([]*Solver, 6)
+	par.NewWorld(6, machine.SP2()).Run(func(r *par.Rank) {
+		solvers[r.ID] = NewSolver(cfg, parts, r.ID)
+		solvers[r.ID].UseArenas(arenas)
+		solvers[r.ID].Solve(r)
+	})
+	duties, hints := 0, 0
+	for _, s := range solvers {
+		hints += len(s.restart)
+		for _, l := range s.sendList {
+			duties += len(l)
+		}
+	}
+	if duties == 0 || hints == 0 {
+		t.Fatalf("the first world left %d duties and %d hints: nothing to forget", duties, hints)
+	}
+	// A smaller world and back: rank 5's buffers wait out the 3-rank world.
+	for _, n := range []int{3, 6} {
+		arenas.Resize(n)
+		_, parts, _ := testSystem(t, n)
+		for rank := 0; rank < n; rank++ {
+			s := NewSolver(cfg, parts, rank)
+			s.UseArenas(arenas)
+			if s.bufs != &arenas.bufs[rank] || cap(s.sendList) != 6 {
+				t.Fatalf("%d ranks: rank %d does not work in what its rank's last solver left", n, rank)
+			}
+			if res, orph := s.DonorCounts(); s.IGBPCount() != 0 || res+orph != 0 || len(s.donorRank) != 0 || len(s.restart) != 0 {
+				t.Errorf("%d ranks: rank %d starts with %d fringe points, %d donors, %d hints", n, rank, s.IGBPCount(), res+orph, len(s.restart))
+			}
+			for dst, l := range s.sendList[:cap(s.sendList)] {
+				if len(l) != 0 {
+					t.Errorf("%d ranks: rank %d starts owing rank %d %d values", n, rank, dst, len(l))
+				}
+			}
 		}
 	}
 }

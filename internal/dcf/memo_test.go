@@ -192,7 +192,7 @@ func TestWalkMemoBitIdentical(t *testing.T) {
 			used := 0
 			want, _ := runSolves(t, fourGridSystem, nodes, nSolves, fourGridMotion, nil, clearMemo)
 			got, solvers := runSolves(t, fourGridSystem, nodes, nSolves, fourGridMotion, nil, func(s *Solver, n int) {
-				if g := s.Parts[s.Rank].Grid; (g == 0 || g == 3 || g == 2 && n%3 == 1) && s.memo != nil {
+				if g := s.Parts[s.Rank].Grid; (g == 0 || g == 3 || g == 2 && n%3 == 1) && len(s.memo) != 0 {
 					t.Errorf("rank %d (grid %d) holds a memo after solve %d, in which it moved or resolved directly", s.Rank, g, n)
 				}
 			})

@@ -80,15 +80,17 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 	// global exchange below. World coordinates are a function of the fixed
 	// body-frame coordinates and Xform alone, so an unchanged Xform keeps
 	// the bounds and the walk memo; the memo is sized to twice the walks of
-	// the solve before, once that solve has shown there are any.
+	// the solve before, once that solve has shown there are any, and emptied
+	// whenever its length changes (a slot's place depends on it).
 	walks := s.memoReqs
 	s.memoReqs = 0
 	if !s.stamped || g.Xform != s.xf {
 		s.xf, s.stamped = g.Xform, true
 		s.myBounds = g.BoundsOf(box)
-		s.memo = nil
+		s.memo = s.memo[:0]
 	} else if len(s.memo) < 2*walks && max(g.NI, g.NJ, g.NK) <= math.MaxUint16 {
-		s.memo = make([]walkSlot, 1<<bits.Len(uint(2*walks-1)))
+		s.memo = par.Resized(s.memo, 1<<bits.Len(uint(2*walks-1)))
+		clear(s.memo)
 	}
 	myBounds := s.myBounds
 	s.cutHolesLocal(r, gi, box, myBounds)
@@ -366,7 +368,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 }
 
 // sendReqBatch ships a request batch by address on the reliable transport;
-// the batch is the sender's to rewrite two barriers later (see Solver).
+// the batch is the sender's to rewrite two barriers later (see bufs).
 func sendReqBatch(r *par.Rank, dst int, batch *reqMsg) bool {
 	return r.SendReliable(dst, par.TagSearchReq, batch, bytesPerRequest*len(batch.Pts))
 }

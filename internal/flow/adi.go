@@ -110,16 +110,13 @@ func (b *Block) lineSet(d int) lineGeom {
 // pipeMsg carries the Thomas recurrence state across a rank boundary for a
 // batch of lines: forward messages hold (c', d') per line per component;
 // backward messages hold the solved x per line per component. Envelopes are
-// pooled (see par.Pool): the receiver copies Vals out and returns the
-// envelope, so steady-state sweeps allocate nothing per batch.
+// recycled (see par.Arena): the receiver copies Vals out and puts the
+// envelope away, so steady-state sweeps allocate nothing per batch.
 type pipeMsg struct {
 	Dir   int
 	Batch int
 	Vals  []float64
 }
-
-// pipePool recycles pipeMsg envelopes across all ranks and blocks.
-var pipePool par.Pool[pipeMsg]
 
 // eigenPass is the pointwise half of the factorization: at every owned point
 // it applies T(dT) to DQ (after dT's line solves) and then T⁻¹(dTi) (before
@@ -262,21 +259,12 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 	flops := 0.0
 
 	// Storage for cross-boundary state per line: entering (c', d') and the
-	// back-substituted x from downstream. Reused from the block's scratch
-	// across directions and steps; every element is written before it is
-	// read within a sweep, so stale contents are harmless.
-	if cap(s.cIn) < nLines*5 {
-		s.cIn = make([]float64, nLines*5)
-		s.dIn = make([]float64, nLines*5)
-		s.cOut = make([]float64, nLines*5)
-		s.dOut = make([]float64, nLines*5)
-		s.xIn = make([]float64, nLines*5)
-	}
-	cIn := s.cIn[:nLines*5]
-	dIn := s.dIn[:nLines*5]
-	cOut := s.cOut[:nLines*5]
-	dOut := s.dOut[:nLines*5]
-	xIn := s.xIn[:nLines*5]
+	// back-substituted x from downstream, from the block's spare.
+	cIn := sized(&s.cIn, nLines*5)
+	dIn := sized(&s.dIn, nLines*5)
+	cOut := sized(&s.cOut, nLines*5)
+	dOut := sized(&s.dOut, nLines*5)
+	xIn := sized(&s.xIn, nLines*5)
 
 	// cpAll stores the full c' field (needed again for back substitution).
 	cpAll := s.cpAll

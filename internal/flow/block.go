@@ -70,9 +70,11 @@ type Block struct {
 	// driver; defaults to wall-normal η for viscous grids).
 	viscDirs [3]bool
 
-	// ar, when non-nil, holds the world-shared per-rank envelope arenas
-	// (see UseArenas). Nil falls back to the process-global pools.
-	ar *Arenas
+	// ar, when non-nil, holds the world-shared per-rank envelope arenas and
+	// spares (see UseArenas); rank is the block's index in them, -1 for a
+	// block built outside any decomposition.
+	ar   *Arenas
+	rank int
 
 	// store is the part of the memory the block was built in (see StoreLen)
 	// not yet carved into arrays: the scratch, until ensureScratch takes it.
@@ -131,7 +133,7 @@ func newBlock(g *grid.Grid, own grid.IBox, fs Freestream, store []float64) *Bloc
 	if !own.Valid() {
 		panic(fmt.Sprintf("flow: invalid owned box %v", own))
 	}
-	b := &Block{G: g, Own: own, FS: fs, TwoD: g.NK == 1}
+	b := &Block{G: g, Own: own, FS: fs, TwoD: g.NK == 1, rank: -1}
 	b.MI, b.MJ, b.MK = localDims(g, own)
 	n := b.MI * b.MJ * b.MK
 	if want := StoreLen(g, own); len(store) != want {

@@ -15,28 +15,23 @@ import (
 func BuildBlocks(g *grid.Grid, boxes []grid.IBox, ranks []int, fs Freestream) []*Block {
 	blocks := make([]*Block, len(boxes))
 	for i, box := range boxes {
-		blocks[i] = buildBlock(g, boxes, ranks, i, fs, make([]float64, StoreLen(g, box)))
+		blocks[i] = BuildBlock(g, boxes, ranks, i, fs, make([]float64, StoreLen(g, box)))
 	}
 	return blocks
 }
 
-// BuildBlock constructs the one block BuildBlocks would return at index i,
-// wiring only that block's neighbors, inside store: StoreLen(g, boxes[i])
-// values that the call clears and the block keeps. It reads the grid and
-// writes nothing shared, so every rank of a world may build its own block
-// at once, each in its own range of one slab.
-func BuildBlock(g *grid.Grid, boxes []grid.IBox, ranks []int, i int, fs Freestream, store []float64) *Block {
-	clear(store)
-	return buildBlock(g, boxes, ranks, i, fs, store)
-}
-
-// buildBlock is BuildBlock on a store that already holds zeros.
-func buildBlock(g *grid.Grid, boxes []grid.IBox, ranks []int, bi int, fs Freestream, store []float64) *Block {
+// BuildBlock constructs the one block BuildBlocks would return at index bi,
+// wiring only that block's neighbors, inside store: StoreLen(g, boxes[bi])
+// zeros — a fresh make, or a recycled range its owner has cleared — that the
+// block keeps. It reads the grid and writes nothing shared, so every rank of
+// a world may build its own block at once, each in its own range of one slab.
+func BuildBlock(g *grid.Grid, boxes []grid.IBox, ranks []int, bi int, fs Freestream, store []float64) *Block {
 	if len(boxes) != len(ranks) {
 		panic("flow: boxes/ranks length mismatch")
 	}
 	box := boxes[bi]
 	b := newBlock(g, box, fs, store)
+	b.rank = ranks[bi]
 	if g.Viscous {
 		// Default viscous direction: wall-normal η. Cases may widen
 		// this with SetViscousDirs.

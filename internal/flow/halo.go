@@ -4,15 +4,12 @@ import (
 	"overd/internal/par"
 )
 
-// faceMsg is the pooled envelope for one halo plane. The receiver copies
-// vals into its ghost layer and returns the envelope to facePool, so
-// steady-state exchanges allocate nothing per face.
+// faceMsg is the envelope of one halo plane. The receiver copies vals into
+// its ghost layer and puts the envelope into its arena shard, so steady-state
+// exchanges allocate nothing per face.
 type faceMsg struct {
 	vals []float64
 }
-
-// facePool recycles faceMsg envelopes across all ranks and blocks.
-var facePool par.Pool[faceMsg]
 
 // ExchangeHalo swaps the Halo-deep boundary planes of Q with the face
 // neighbors of this block (including periodic wrap neighbors). All sends

@@ -819,6 +819,7 @@ func TestStoreLenIsWhatABlockTakes(t *testing.T) {
 		for i := range mem {
 			mem[i] = math.NaN()
 		}
+		clear(mem[guard : guard+want]) // BuildBlock takes zeros
 		b := BuildBlock(g, boxes, []int{0, 1}, 1, fs, mem[guard:guard+want])
 		if (b.MuT != nil) != g.Turbulent {
 			t.Fatalf("%s: MuT allocated = %v on a grid with Turbulent = %v", tc.name, b.MuT != nil, g.Turbulent)

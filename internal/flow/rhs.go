@@ -7,31 +7,18 @@ import (
 )
 
 // Scratch arrays set up lazily by ensureScratch, the float ones carved from
-// the remainder of the block's store.
+// the remainder of the block's store, the rest in the block's spare.
 type scratch struct {
 	fw   []float64    // per-direction flux workspace (5 per point)
 	pr   []float64    // pressure field
 	prim []float64    // cached primitives ρ,u,v,w (4 per point), filled with pr
 	sig  [3][]float64 // per-direction spectral radii
-	upd  []bool       // point is updated by the implicit scheme
-	stv  []bool       // point is valid for difference stencils
 	rhs0 []float64    // cached freestream residual (5 per point)
+	// cpAll caches the full c' field of a line solve for back substitution
+	// (5 per point); during ComputeRHS it holds the JST interface fluxes.
+	cpAll []float64
 
-	// Pipelined Thomas-solve state, hoisted out of lineSolves so the three
-	// sweeps per step reuse one set of buffers instead of allocating six
-	// arrays per direction. cpAll caches the full c' field for back
-	// substitution (5 per point; during ComputeRHS it holds the JST
-	// interface fluxes instead); the rest hold 5 values per transverse
-	// line and are grown to the largest direction's line count on first use.
-	// Every element read during a sweep is written earlier in the same
-	// sweep, so no zeroing between reuses is needed.
-	cpAll                []float64
-	cIn, dIn, cOut, dOut []float64
-	xIn                  []float64
-
-	// Baldwin-Lomax per-line scratch (wall-normal extent); every element is
-	// written before it is read on each line, so no clearing between lines.
-	blOmega, blY, blRho []float64
+	*spare
 }
 
 func (b *Block) ensureScratch() {
@@ -43,11 +30,18 @@ func (b *Block) ensureScratch() {
 		fw:    b.take(5 * n),
 		pr:    b.take(n),
 		prim:  b.take(4 * n),
-		upd:   make([]bool, n),
-		stv:   make([]bool, n),
 		rhs0:  b.take(5 * n),
 		cpAll: b.take(5 * n),
 	}
+	if b.ar != nil && b.rank >= 0 {
+		// The rank's last block is done with it: the block this one replaces
+		// in a repartition is only read for Q from here on.
+		s.spare = &b.ar.spare[b.rank]
+	} else {
+		s.spare = &spare{}
+	}
+	sized(&s.upd, n)
+	sized(&s.stv, n)
 	for d := 0; d < 3; d++ {
 		s.sig[d] = b.take(n)
 	}

@@ -189,11 +189,7 @@ func (b *Block) ComputeTurbulence() float64 {
 	nj := b.Own.NJ()
 	b.ensureScratch()
 	s := b.scr
-	if cap(s.blOmega) < nj {
-		s.blOmega = make([]float64, nj)
-		s.blY = make([]float64, nj)
-		s.blRho = make([]float64, nj)
-	}
+	omega, ydist, rhoL := sized(&s.blOmega, nj), sized(&s.blY, nj), sized(&s.blRho, nj)
 	count := 0
 	for lk := klo; lk <= khi; lk++ {
 		for li := Halo; li < b.MI-Halo; li++ {
@@ -211,9 +207,6 @@ func (b *Block) ComputeTurbulence() float64 {
 				prevX, prevY         = b.XL[wallP], b.YL[wallP]
 				prevZ                = b.ZL[wallP]
 			)
-			omega := s.blOmega[:nj]
-			ydist := s.blY[:nj]
-			rhoL := s.blRho[:nj]
 			wallVx, wallVy, wallVz := b.XT[wallP], b.YT[wallP], b.ZT[wallP]
 			// The previous point's velocity is carried forward instead of
 			// re-deriving it with a second Primitive call — same pure

@@ -225,3 +225,31 @@ func TestParseJob(t *testing.T) {
 		t.Error("truncated JSON not rejected")
 	}
 }
+
+// FuzzParseJob: whatever the bytes, ParseJob returns a job or an error and
+// never panics; a job it accepts is already normal (Normalize changes
+// nothing but the stripped tenant, and nothing at all the second time), and
+// its canonical bytes parse back to a job with the same content address —
+// the cache key survives a round trip through the journal.
+func FuzzParseJob(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := ParseJob(data)
+		if err != nil {
+			return
+		}
+		n, err := j.Normalize()
+		if err != nil {
+			t.Fatalf("accepted job %s does not normalize: %v", j.Canonical(), err)
+		}
+		if j.Tenant = ""; !reflect.DeepEqual(n, j) {
+			t.Fatalf("Normalize is not idempotent:\n first  %+v\n second %+v", j, n)
+		}
+		back, err := ParseJob(j.Canonical())
+		if err != nil {
+			t.Fatalf("canonical bytes %s do not parse: %v", j.Canonical(), err)
+		}
+		if back.Hash() != j.Hash() {
+			t.Fatalf("hash changes across a round trip:\n %s\n %s", j.Canonical(), back.Canonical())
+		}
+	})
+}

@@ -102,12 +102,13 @@ type StepStats = core.StepStats
 // same configuration produces bit-identical virtual times and flow fields.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
-// Storage is a free list of the memory runs build their blocks in, owned by
-// the caller and handed to consecutive runs through Config.Storage (or
-// Options.Storage for a sweep) so each reuses what the last is done with. It
-// is a host-side resource control like Config.Workers: nil or any Storage
-// yields bit-identical results. It keeps what it is given until it is
-// dropped; it is meant to live as long as one sweep.
+// Storage keeps what a run builds by first use — the memory of its blocks,
+// its ranks' solver buffers and message envelopes — owned by the caller and
+// handed to consecutive runs through Config.Storage (or Options.Storage for
+// a sweep) so each reuses what the last is done with. It is a host-side
+// resource control like Config.Workers: nil or any Storage yields
+// bit-identical results. It keeps what it is given until it is dropped; it
+// is meant to live as long as one sweep.
 type Storage = core.Storage
 
 // NewStorage returns an empty Storage.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"overd/internal/cases"
 	"overd/internal/core"
 )
 
@@ -50,6 +51,20 @@ type sweep struct {
 	// executed counts executions of a case (as against results re-timed or
 	// handed back from the memo).
 	executed int
+	// The latest case built, which constructor and scale built it and where
+	// it started: the rows of a table, and of the next table on the same
+	// case, run one after another on one case put back between them (as
+	// core.RunOn does between machines), and only one case is ever held.
+	// built counts constructions.
+	c     *Case
+	from  caseKey
+	start cases.Placement
+	built int
+}
+
+type caseKey struct {
+	mk    string
+	scale float64
 }
 
 type memoKey struct {
@@ -69,8 +84,7 @@ func (s *sweep) perfSpec(mk string, nodes int) runSpec {
 
 // run returns spec's outcome on each of the machines, for the row named by
 // label. With a metrics registry attached every run executes, machine by
-// machine on a case of its own, because the registry must end up holding the
-// last run's series.
+// machine, because the registry must end up holding the last run's series.
 func (s *sweep) run(label string, spec runSpec, machines ...Machine) ([]*ran, error) {
 	out := make([]*ran, len(machines))
 	if s.opt.Metrics != nil {
@@ -107,18 +121,24 @@ func (s *sweep) run(label string, spec runSpec, machines ...Machine) ([]*ran, er
 	return out, nil
 }
 
-// execute builds spec's case and runs it on the machines through one
-// core.RunOn: one execution, and a re-timing per further machine where that
-// applies.
+// execute runs spec's case on the machines through one core.RunOn: one
+// execution, and a re-timing per further machine where that applies.
 func (s *sweep) execute(label string, spec runSpec, machines ...Machine) ([]*ran, error) {
 	s.opt.logf("%s on %s...", label, machines[0].Name)
-	c := caseMakers[spec.mk](spec.scale)
+	if key := (caseKey{spec.mk, spec.scale}); s.from != key {
+		s.c, s.from = caseMakers[spec.mk](spec.scale), key
+		s.start = s.c.Placement()
+		s.built++
+		s.opt.logf("(%s case built at scale %g)", spec.mk, spec.scale)
+	} else {
+		s.start.Restore(s.c)
+	}
 	var plan *FaultPlan
 	if spec.faults != "" {
 		plan = faultPlans[spec.faults]()
 	}
 	results, executed, err := core.RunOn(Config{
-		Case: c, Nodes: spec.nodes, Steps: spec.steps,
+		Case: s.c, Nodes: spec.nodes, Steps: spec.steps,
 		Fo: spec.fo, CheckInterval: spec.check, Balancer: spec.balancer,
 		Faults: plan, Metrics: s.opt.Metrics, Storage: s.opt.Storage,
 	}, machines...)
@@ -131,7 +151,7 @@ func (s *sweep) execute(label string, spec runSpec, machines ...Machine) ([]*ran
 		how = "executed (re-timing does not apply)"
 	}
 	out := make([]*ran, len(results))
-	points := c.Sys.NPoints()
+	points := s.c.Sys.NPoints()
 	for i, res := range results {
 		if i > 0 {
 			s.opt.logf("%s on %s: %s", label, machines[i].Name, how)
