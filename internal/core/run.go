@@ -584,16 +584,6 @@ func EstimateSerialTime(flops float64, m machine.Model) float64 {
 	return m.ComputeTime(flops, 64<<20)
 }
 
-// planFor builds the initial static plan for a config (test helper).
-func planFor(cfg Config) (*balance.Plan, error) {
-	plan, err := balance.Static(cfg.Case.GridSizes(), cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	balance.SubdividePlan(plan, cfg.Case.GridDims())
-	return plan, nil
-}
-
 // runState is the shared coordination state of one run; per-rank slices are
 // indexed by rank and touched only at barrier-separated points.
 type runState struct {

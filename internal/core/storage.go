@@ -35,6 +35,17 @@ type kit struct {
 // NewStorage returns an empty Storage.
 func NewStorage() *Storage { return &Storage{} }
 
+// Held reports what s holds between runs: the bytes of its free slabs and
+// how many kits it keeps.
+func (s *Storage) Held() (slabBytes int64, kits int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, b := range s.free {
+		slabBytes += 8 * int64(cap(b))
+	}
+	return slabBytes, len(s.kits)
+}
+
 // get returns a slab of n values — the free slab of least sufficient
 // capacity, its contents unspecified, or a new one — and whether it is new
 // and so holds zeros. A miss means every free slab is too small for the

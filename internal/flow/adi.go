@@ -122,8 +122,9 @@ type pipeMsg struct {
 // it applies T(dT) to DQ (after dT's line solves) and then T⁻¹(dTi) (before
 // dTi's), stashing dTi's Δt·J-scaled eigenvalues in lam (5 per point); a
 // negative direction skips that half. The two halves share one load of DQ,
-// the metrics and ρ, u, v, w, a, φ². Rows are the expressions of Eigen.Set,
-// formed as scalars and accumulated as MulT/MulTi do (0 + t0·x0 + t1·x1 …).
+// the metrics and ρ, u, v, w, a, φ². Rows are the expressions of Eigen.Set
+// (eigen_test.go), formed as scalars and accumulated as MulT/MulTi do
+// (0 + t0·x0 + t1·x1 …).
 // The opening pass (dT < 0) evaluates Primitive into the scratch cache, so a
 // Q changed since ComputeRHS is seen; later passes read the cache.
 func (b *Block) eigenPass(dT, dTi int, dt float64, lam []float64) {

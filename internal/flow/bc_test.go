@@ -173,3 +173,18 @@ func TestForcesLiftSignOnInclinedPressure(t *testing.T) {
 		t.Errorf("lift should be positive with overpressure below: Fy = %v", force.Y)
 	}
 }
+
+// refreshPrimitives fills the scratch primitive and pressure caches from Q.
+// ComputeRHS fills them fused with the spectral-radius pass; standalone
+// callers of addViscousRHS (tests) refresh them here first.
+func (b *Block) refreshPrimitives() {
+	b.ensureScratch()
+	s := b.scr
+	n := b.NPointsLocal()
+	for p := 0; p < n; p++ {
+		rho, u, v, w, pr := Primitive(b.QAt(p))
+		pm := s.prim[4*p : 4*p+4 : 4*p+4]
+		pm[0], pm[1], pm[2], pm[3] = rho, u, v, w
+		s.pr[p] = pr
+	}
+}

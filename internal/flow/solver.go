@@ -67,25 +67,6 @@ func (b *Block) FlowStep(r *par.Rank, dt float64) {
 	publishFlowStepMetrics(r, sweeps)
 }
 
-// ResidualNorm returns the RMS of the density-equation residual over owned
-// updatable points (a convergence monitor).
-func (b *Block) ResidualNorm() float64 {
-	b.ensureScratch()
-	s := b.scr
-	sum, n := 0.0, 0
-	b.eachInterior(func(p int) {
-		if !s.upd[p] {
-			return
-		}
-		sum += b.RHS[5*p] * b.RHS[5*p]
-		n++
-	})
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
-}
-
 // SetFringe stores interpolated conserved data at a fringe point given in
 // parent-grid indices. Used by the connectivity module.
 func (b *Block) SetFringe(i, j, k int, q [5]float64) bool {

@@ -434,3 +434,22 @@ func TestFlowStepChargesVirtualTime(t *testing.T) {
 		t.Error("flow step should record flops")
 	}
 }
+
+// ResidualNorm returns the RMS of the density-equation residual over owned
+// updatable points (a convergence monitor).
+func (b *Block) ResidualNorm() float64 {
+	b.ensureScratch()
+	s := b.scr
+	sum, n := 0.0, 0
+	b.eachInterior(func(p int) {
+		if !s.upd[p] {
+			return
+		}
+		sum += b.RHS[5*p] * b.RHS[5*p]
+		n++
+	})
+	if n == 0 {
+		return 0
+	}
+	return math.Sqrt(sum / float64(n))
+}

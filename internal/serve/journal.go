@@ -98,7 +98,9 @@ func openJournal(dir string) (*journal, []journalRecord, int, error) {
 // file = admission order) and the highest sequence seen. A missing file is
 // an empty journal. Only a torn final line is tolerated; corruption
 // anywhere else is an error — silently skipping a record would break the
-// exactly-once contract.
+// exactly-once contract — and so is an admit whose id is not the one its
+// sequence names or that an earlier admit already took: an id replayed
+// twice, or issued again after maxSeq, would name two jobs.
 func replayJournal(path string) ([]journalRecord, int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -107,6 +109,11 @@ func replayJournal(path string) ([]journalRecord, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: journal read: %w", err)
 	}
+	return decodeJournal(data)
+}
+
+// decodeJournal is replayJournal on the file's bytes.
+func decodeJournal(data []byte) ([]journalRecord, int, error) {
 	lines := bytes.Split(data, []byte("\n"))
 	var pending []journalRecord
 	byID := make(map[string]int) // id → index into pending, -1 once finished
@@ -132,6 +139,12 @@ func replayJournal(path string) ([]journalRecord, int, error) {
 		case "admit":
 			if r.ID == "" || len(r.Job) == 0 {
 				return nil, 0, fmt.Errorf("serve: journal corrupt at line %d: admit without id/job", i+1)
+			}
+			if r.Seq <= 0 || r.ID != jobID(r.Seq) {
+				return nil, 0, fmt.Errorf("serve: journal corrupt at line %d: admit %s at sequence %d", i+1, r.ID, r.Seq)
+			}
+			if _, dup := byID[r.ID]; dup {
+				return nil, 0, fmt.Errorf("serve: journal corrupt at line %d: job %s admitted twice", i+1, r.ID)
 			}
 			if r.Seq > maxSeq {
 				maxSeq = r.Seq

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -246,4 +247,40 @@ func TestJournalCancelledJobsStayCancelled(t *testing.T) {
 	if err := s2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzJournalReplay decodes arbitrary bytes, and a torn copy of them, as a
+// journal. Decoding never panics; an accepted journal tolerated at most its
+// last line unparsed, names every pending job by its own sequence, at most
+// once and at or below the sequence the next id is drawn after; and cut
+// anywhere before its last line, as a crash mid-append would leave it, it is
+// accepted still.
+func FuzzJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		pending, maxSeq, err := decodeJournal(data)
+		if err != nil {
+			return
+		}
+		lines := bytes.Split(data, []byte("\n"))
+		for i, line := range lines[:len(lines)-1] {
+			var r journalRecord
+			if len(bytes.TrimSpace(line)) > 0 && json.Unmarshal(line, &r) != nil {
+				t.Fatalf("line %d of %d is torn, yet the journal was accepted", i+1, len(lines))
+			}
+		}
+		seen := map[string]bool{}
+		for _, r := range pending {
+			if seen[r.ID] {
+				t.Fatalf("job %s replayed twice", r.ID)
+			}
+			seen[r.ID] = true
+			if r.Seq <= 0 || r.Seq > maxSeq || r.ID != jobID(r.Seq) {
+				t.Fatalf("pending %s at sequence %d (max %d): the next ids could reuse it", r.ID, r.Seq, maxSeq)
+			}
+		}
+		whole := bytes.LastIndexByte(data, '\n') + 1
+		if _, _, err := decodeJournal(data[:int(cut)%(whole+1)]); err != nil {
+			t.Fatalf("a torn copy of an accepted journal is refused: %v", err)
+		}
+	})
 }

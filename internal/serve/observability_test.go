@@ -75,6 +75,11 @@ type statusResp struct {
 		Open    bool  `json:"open"`
 		Appends int64 `json:"appends"`
 	} `json:"journal"`
+	Storage struct {
+		SlabBytes int64 `json:"slab_bytes"`
+		Kits      int   `json:"kits"`
+		Releases  int64 `json:"releases"`
+	} `json:"storage"`
 	FlightRecorder struct {
 		Enabled  bool `json:"enabled"`
 		Resident int  `json:"resident"`

@@ -14,8 +14,8 @@ import (
 // returns its artifacts. The context is the job's cancellation scope
 // (DELETE /jobs/{id}, deadline expiry, server kill): a Runner should stop
 // promptly once it is done and return ctx.Err(). The Server's default is
-// RunJob; tests substitute stubs to script timing and failures without
-// paying for real solves.
+// RunJob on the server's Storage; tests substitute stubs to script timing
+// and failures without paying for real solves.
 type Runner func(ctx context.Context, job Job, progress func(Event)) (*Artifacts, error)
 
 // RunJob executes a normalized job through the real pipeline and assembles
@@ -36,6 +36,13 @@ type Runner func(ctx context.Context, job Job, progress func(Event)) (*Artifacts
 // registry mid-flight, which the registry's shard locks make safe and the
 // bit-identity tests prove free.
 func RunJob(ctx context.Context, job Job, progress func(Event)) (*Artifacts, error) {
+	return runJob(ctx, job, progress, nil)
+}
+
+// runJob is RunJob drawing on storage for the run and for any tables it
+// regenerates; nil makes what they need and drops it, as a plain overd.Run
+// does. A Server passes its own, and no Storage changes an artifact byte.
+func runJob(ctx context.Context, job Job, progress func(Event), storage *overd.Storage) (*Artifacts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -58,7 +65,7 @@ func RunJob(ctx context.Context, job Job, progress func(Event)) (*Artifacts, err
 		Steps: job.Steps, Fo: fo, CheckInterval: job.CheckEvery,
 		Balancer: job.Balancer,
 		Faults:   job.Faults, CheckpointEvery: job.CheckpointEvery,
-		Trace: rec, Metrics: reg,
+		Trace: rec, Metrics: reg, Storage: storage,
 		// Host-side parallelism bound; excluded from the cache key because
 		// the runtime guarantees it cannot change a single artifact byte.
 		Workers: job.Workers,
@@ -108,7 +115,7 @@ func RunJob(ctx context.Context, job Job, progress func(Event)) (*Artifacts, err
 		for _, id := range job.Tables {
 			want[id] = true
 		}
-		opt := overd.Options{Scale: job.Scale, Steps: job.Steps}
+		opt := overd.Options{Scale: job.Scale, Steps: job.Steps, Storage: storage}
 		if err := overd.EmitTablesJSON(&tables, opt, want); err != nil {
 			return nil, fmt.Errorf("serve: emitting tables %v: %w", job.Tables, err)
 		}
@@ -128,9 +135,10 @@ func RunJob(ctx context.Context, job Job, progress func(Event)) (*Artifacts, err
 	// The full virtual-time timeline, kept as an artifact so the span layer
 	// can later merge the service's wall-clock spans next to it (GET
 	// /jobs/{id}/spans?format=chrome) without re-running the solve. Like
-	// every artifact it is a pure function of the canonical job.
-	var chromeBuf bytes.Buffer
-	if err := rec.WriteChromeTrace(&chromeBuf); err != nil {
+	// every artifact it is a pure function of the canonical job. Encoded in
+	// place: one allocation, of the document's length.
+	chrome, err := rec.AppendChromeTrace(nil)
+	if err != nil {
 		return nil, fmt.Errorf("serve: encoding chrome trace: %w", err)
 	}
 
@@ -138,7 +146,7 @@ func RunJob(ctx context.Context, job Job, progress func(Event)) (*Artifacts, err
 		Tables:  tables.Bytes(),
 		Trace:   traceJSON,
 		Metrics: metricsBuf.Bytes(),
-		Chrome:  chromeBuf.Bytes(),
+		Chrome:  chrome,
 		Steps:   len(res.Steps) + res.RecoverySteps,
 	}, nil
 }

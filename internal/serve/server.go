@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"overd"
 	"overd/internal/metrics"
 	"overd/internal/span"
 )
@@ -60,7 +61,8 @@ type Config struct {
 	// journal trouble, replay notes). The sanitized errMsg shown to
 	// clients never includes a stack; the full detail lands here.
 	Logf func(format string, args ...any)
-	// Runner executes jobs; nil means the real pipeline (RunJob).
+	// Runner executes jobs; nil means the real pipeline (RunJob), drawing
+	// on the server's Storage.
 	Runner Runner
 }
 
@@ -214,7 +216,20 @@ type Server struct {
 	killed      bool // simulated kill -9: workers abandon in place
 	workersRun  bool
 	wg          sync.WaitGroup
+
+	// store is the Storage the default runner hands every run. While jobs
+	// are queued or running it holds at most Workers runs' peak; once none
+	// has been since idleSince for storageGrace, or at Shutdown, it is
+	// dropped for an empty one, and releases counts the drops.
+	store     *overd.Storage
+	releases  int64
+	idleSince time.Time
+	idleTimer *time.Timer
 }
+
+// storageGrace is how long the server stays idle before it drops what its
+// runs left in its Storage.
+const storageGrace = 5 * time.Second
 
 // failureNote is one entry of the bounded recent-failure ring surfaced on
 // GET /status: enough context to pivot to GET /jobs/{id}/spans.
@@ -270,9 +285,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.EventHeartbeat <= 0 {
 		cfg.EventHeartbeat = 15 * time.Second
 	}
-	if cfg.Runner == nil {
-		cfg.Runner = RunJob
-	}
 	cfg.Limits = cfg.Limits.withDefaults()
 	s := &Server{
 		cfg:       cfg,
@@ -285,7 +297,15 @@ func NewServer(cfg Config) (*Server, error) {
 		queues:    make(map[string][]*jobState),
 		runningBy: make(map[string]int),
 		started:   time.Now(),
+		store:     overd.NewStorage(),
 	}
+	if s.cfg.Runner == nil {
+		s.cfg.Runner = func(ctx context.Context, job Job, progress func(Event)) (*Artifacts, error) {
+			return runJob(ctx, job, progress, s.storage())
+		}
+	}
+	s.idleTimer = time.AfterFunc(storageGrace, func() { s.releaseIfIdle(time.Now()) })
+	s.idleTimer.Stop()
 	s.incarnation = fmt.Sprintf("%d-%x", os.Getpid(), s.started.UnixNano())
 	if cfg.FlightRecorder >= 0 {
 		s.flight = span.NewRecorder(cfg.FlightRecorder)
@@ -463,6 +483,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.jrnl.close()
 			s.jrnl = nil
 		}
+		s.idleTimer.Stop()
+		s.dropStorageLocked()
 		s.mu.Unlock()
 		return nil
 	case <-ctx.Done():
@@ -621,11 +643,14 @@ func (s *Server) journalDoneLocked(js *jobState, status JobStatus, errMsg string
 	s.jrnlAppends++
 }
 
+// jobID names the job admitted at sequence seq.
+func jobID(seq int) string { return fmt.Sprintf("j-%06d", seq) }
+
 // newJobLocked allocates a job record under s.mu.
 func (s *Server) newJobLocked(job Job, hash string) *jobState {
 	s.nextID++
 	js := &jobState{
-		id:       fmt.Sprintf("j-%06d", s.nextID),
+		id:       jobID(s.nextID),
 		hash:     hash,
 		tenant:   job.Tenant,
 		job:      job,
@@ -661,19 +686,17 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 				break
 			}
 		}
+		pt0 := time.Now()
 		s.queued--
+		s.noteIdleLocked()
 		delete(s.inflight, js.hash)
 		js.status = StatusCancelled
 		js.errMsg = "cancelled by request"
 		s.cancelled.Add(0, 1)
 		s.journalDoneLocked(js, StatusCancelled, js.errMsg)
 		js.events.append(Event{Type: "cancelled", Error: js.errMsg})
-		js.events.closeLog()
-		close(js.done)
 		s.recordFailureLocked(js)
-		rec := js.spans.Load()
-		rec.Finish(string(StatusCancelled))
-		js.spans.Store(nil)
+		publish(js, pt0)
 		return StatusCancelled, nil
 	case StatusRunning:
 		js.cancelReq = true
@@ -837,4 +860,41 @@ func (s *Server) refreshGauges() {
 	s.entriesG.Set(0, float64(cs.Entries), 0)
 	s.bytesG.Set(0, float64(cs.Bytes), 0)
 	s.subsG.Set(0, float64(subs), 0)
+}
+
+// storage is the Storage the next run draws on.
+func (s *Server) storage() *overd.Storage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store
+}
+
+// noteIdleLocked starts the grace period when the last queued or running
+// job leaves: the idle timer fires storageGrace later, unless a newer idle
+// stretch moves it on.
+func (s *Server) noteIdleLocked() {
+	if s.queued > 0 || s.running > 0 {
+		return
+	}
+	s.idleSince = time.Now()
+	s.idleTimer.Reset(storageGrace)
+}
+
+// releaseIfIdle drops the Storage when, at now, no job has been queued or
+// running for storageGrace. The idle timer calls it; so may a test, with a
+// now of its choosing.
+func (s *Server) releaseIfIdle(now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.queued == 0 && s.running == 0 && now.Sub(s.idleSince) >= storageGrace {
+		s.dropStorageLocked()
+	}
+}
+
+// dropStorageLocked lets go of everything the runs left and starts an empty
+// Storage. Runs still holding the old one give back into it and it goes
+// when they do.
+func (s *Server) dropStorageLocked() {
+	s.store = overd.NewStorage()
+	s.releases++
 }

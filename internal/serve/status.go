@@ -8,8 +8,9 @@ import (
 // statusView is the GET /status JSON document: one page that answers "is the
 // service healthy and what is it doing right now" without scraping /metrics
 // or tailing logs — uptime and incarnation, queue and in-flight load per
-// tenant, journal health, cache occupancy, flight-recorder residency, and a
-// bounded ring of recent failures to pivot into GET /jobs/{id}/spans from.
+// tenant, journal health, cache occupancy, what the runs' Storage holds,
+// flight-recorder residency, and a bounded ring of recent failures to pivot
+// into GET /jobs/{id}/spans from.
 type statusView struct {
 	Service       string  `json:"service"`
 	Incarnation   string  `json:"incarnation"`
@@ -41,6 +42,14 @@ type statusView struct {
 	} `json:"cache"`
 
 	Journal *journalStatus `json:"journal,omitempty"`
+
+	// Storage is what the server's runs leave for the next: free slab bytes
+	// and kits held, and how many times an idle server or Shutdown dropped it.
+	Storage struct {
+		SlabBytes int64 `json:"slab_bytes"`
+		Kits      int   `json:"kits"`
+		Releases  int64 `json:"releases"`
+	} `json:"storage"`
 
 	FlightRecorder struct {
 		Enabled  bool `json:"enabled"`
@@ -93,6 +102,8 @@ func (s *Server) statusSnapshot() statusView {
 		}
 	}
 	v.EventSubscribers = s.subscribers
+	store := s.store
+	v.Storage.Releases = s.releases
 	if s.cfg.JournalDir != "" {
 		v.Journal = &journalStatus{
 			Open: s.jrnl != nil, Appends: s.jrnlAppends,
@@ -120,6 +131,8 @@ func (s *Server) statusSnapshot() statusView {
 	} {
 		v.Jobs[short] = s.reg.CounterValue(name, 0)
 	}
+
+	v.Storage.SlabBytes, v.Storage.Kits = store.Held()
 
 	cs := s.cache.Stats()
 	v.Cache.Hits, v.Cache.Misses, v.Cache.Evictions = cs.Hits, cs.Misses, cs.Evictions

@@ -58,13 +58,13 @@ func (s *Server) worker() {
 		if js == nil {
 			return
 		}
-		s.runJob(js)
+		s.supervise(js)
 	}
 }
 
-// runJob supervises one job: invoke the runner behind the panic boundary,
+// supervise runs one job: invoke the runner behind the panic boundary,
 // retry once on infrastructure failure, then finalize.
-func (s *Server) runJob(js *jobState) {
+func (s *Server) supervise(js *jobState) {
 	js.events.append(Event{Type: "start"})
 	for attempt := 1; ; attempt++ {
 		s.mu.Lock()
@@ -120,6 +120,7 @@ func (s *Server) finalize(js *jobState, art *Artifacts, err error) {
 		return
 	}
 	s.running--
+	s.noteIdleLocked()
 	if s.runningBy[js.tenant] <= 1 {
 		delete(s.runningBy, js.tenant)
 	} else {
@@ -160,16 +161,22 @@ func (s *Server) finalize(js *jobState, art *Artifacts, err error) {
 		s.recordFailureLocked(js)
 	}
 	s.mu.Unlock()
-	js.events.closeLog()
-	close(js.done)
-	// Publication is the last child span; then the root closes and the
-	// record moves to the flight recorder's ring (feeding the latency
-	// histograms via OnFinish). Clearing js.spans hands retention to the
-	// bounded ring — post-mortem reads go through GET /jobs/{id}/spans.
+	publish(js, pt0)
+}
+
+// publish ends a finished job: the publish stage from pt0 as the last child
+// span, then the root, and the record moves to the flight recorder's ring
+// (feeding the latency histograms via OnFinish); clearing js.spans hands
+// retention to the bounded ring. Only then do the event log and done close,
+// so whoever sees the job end reads a finished record from GET
+// /jobs/{id}/spans.
+func publish(js *jobState, pt0 time.Time) {
 	rec := js.spans.Load()
 	rec.AddStage(span.StagePublish, pt0, time.Now())
 	rec.Finish(string(js.status))
 	js.spans.Store(nil)
+	js.events.closeLog()
+	close(js.done)
 }
 
 // cancelReason explains a cancellation in the client-visible errMsg.

@@ -1,17 +1,20 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 )
 
 // chromeEvent is one entry of the catapult trace-event JSON schema
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 // Virtual seconds map to microseconds so Perfetto's time axis reads
 // naturally; each rank is one thread track of a single process.
+// MergeChromeTrace encodes its events through encoding/json; the recorder's
+// own export writes the same fields in the same order (chromeRec).
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -28,115 +31,250 @@ type chromeEvent struct {
 
 const usPerSec = 1e6
 
+// The document around the per-rank records: its head carries the process
+// record, every record after it starts with ",\n".
+const (
+	chromeHead = `{"traceEvents":[` + "\n" +
+		`{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"overd virtual machine"}}`
+	chromeTail = "\n],\"displayTimeUnit\":\"ms\"}\n"
+)
+
 // WriteChromeTrace exports the recorded run in the Chrome trace-event JSON
 // format: one thread track per rank, busy slices named by phase, wait and
 // barrier slices in their own categories, and send→recv flow arrows. The
-// output loads in chrome://tracing and Perfetto.
+// output loads in chrome://tracing and Perfetto. It writes the bytes of
+// AppendChromeTrace.
 func (rec *Recorder) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
+	b, err := rec.AppendChromeTrace(nil)
+	if err != nil {
 		return err
 	}
-	first := true
-	emit := func(e chromeEvent) error {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
+	_, err = w.Write(b)
+	return err
+}
 
-	emit(chromeEvent{Name: "process_name", Ph: "M", PID: 0,
-		Args: map[string]any{"name": "overd virtual machine"}})
-	for r := 0; r < rec.NRanks(); r++ {
-		if err := emit(chromeEvent{Name: "thread_name", Ph: "M", PID: 0, TID: r,
-			Args: map[string]any{"name": fmt.Sprintf("rank %d", r)}}); err != nil {
-			return err
-		}
-		if err := emit(chromeEvent{Name: "thread_sort_index", Ph: "M", PID: 0, TID: r,
-			Args: map[string]any{"sort_index": r}}); err != nil {
-			return err
+// AppendChromeTrace appends the document WriteChromeTrace writes to dst and
+// returns the extended buffer — byte for byte what encoding/json makes of
+// one chromeEvent per record. A first pass sizes the document with the same
+// appenders, so dst grows at most once and nothing is allocated per event.
+// A time that is not finite has no JSON form: dst comes back unchanged with
+// an error.
+func (rec *Recorder) AppendChromeTrace(dst []byte) ([]byte, error) {
+	n, err := rec.chromeLen()
+	if err != nil {
+		return dst, err
+	}
+	b := dst
+	if cap(b)-len(b) < n {
+		b = make([]byte, len(dst), len(dst)+n)
+		copy(b, dst)
+	}
+	b = append(b, chromeHead...)
+	for r := range rec.bufs {
+		b = appendRankMeta(b, r)
+	}
+	var cs [2]chromeRec
+	for r := range rec.bufs {
+		for i := range rec.bufs[r].ev {
+			for j := range rec.chromeRecs(&cs, r, &rec.bufs[r].ev[i]) {
+				b = cs[j].appendTo(b)
+			}
 		}
 	}
+	return append(b, chromeTail...), nil
+}
 
-	for r := 0; r < rec.NRanks(); r++ {
-		for _, e := range rec.Events(r) {
-			ce := chromeEvent{PID: 0, TID: r, TS: e.Start * usPerSec}
-			switch e.Kind {
-			case KindCompute, KindElapse:
-				// Busy slices are named by phase so every module gets a
-				// stable color in the viewer.
-				ce.Name, ce.Cat, ce.Ph = rec.PhaseLabel(int(e.Phase)), "compute", "X"
-				ce.Dur = e.Dur * usPerSec
-			case KindSend:
-				ce.Name, ce.Cat, ce.Ph = "send "+rec.TagLabel(int(e.Tag)), "comm", "X"
-				ce.Dur = e.Dur * usPerSec
-				ce.Args = map[string]any{"to": e.Peer, "bytes": e.Bytes}
-				if err := emit(ce); err != nil {
-					return err
+// chromeLen is the length of the document: every record appended to a
+// scratch buffer and counted.
+func (rec *Recorder) chromeLen() (int, error) {
+	var scratch [256]byte
+	n := len(chromeHead) + len(chromeTail)
+	for r := range rec.bufs {
+		n += len(appendRankMeta(scratch[:0], r))
+	}
+	var cs [2]chromeRec
+	for r := range rec.bufs {
+		for i := range rec.bufs[r].ev {
+			for j := range rec.chromeRecs(&cs, r, &rec.bufs[r].ev[i]) {
+				c := &cs[j]
+				if math.IsInf(c.ts, 0) || math.IsNaN(c.ts) || math.IsInf(c.dur, 0) || math.IsNaN(c.dur) {
+					return 0, fmt.Errorf("trace: chrome export: rank %d times %v+%v have no JSON form", r, c.ts, c.dur)
 				}
-				if e.Flow == 0 {
-					continue
-				}
-				// Flow start pinned inside the send slice.
-				ce = chromeEvent{Name: "msg", Cat: "comm", Ph: "s", PID: 0, TID: r,
-					TS: e.Start * usPerSec, ID: fmt.Sprintf("%x", e.Flow)}
-			case KindRecv:
-				ce.Name, ce.Cat, ce.Ph = "recv "+rec.TagLabel(int(e.Tag)), "comm", "i"
-				ce.S = "t"
-				ce.Args = map[string]any{"from": e.Peer, "bytes": e.Bytes}
-				if err := emit(ce); err != nil {
-					return err
-				}
-				if e.Flow == 0 {
-					continue
-				}
-				ce = chromeEvent{Name: "msg", Cat: "comm", Ph: "f", BP: "e", PID: 0, TID: r,
-					TS: e.Start * usPerSec, ID: fmt.Sprintf("%x", e.Flow)}
-			case KindWait:
-				ce.Name, ce.Cat, ce.Ph = "recv-wait", "wait", "X"
-				ce.Dur = e.Dur * usPerSec
-				ce.Args = map[string]any{"from": e.Peer, "tag": rec.TagLabel(int(e.Tag))}
-			case KindBarrier:
-				ce.Name, ce.Cat, ce.Ph = "barrier-wait", "barrier", "X"
-				ce.Dur = e.Dur * usPerSec
-				ce.Args = map[string]any{"released_by": e.Peer}
-			case KindSync:
-				ce.Name, ce.Cat, ce.Ph = "barrier-sync", "barrier", "X"
-				ce.Dur = e.Dur * usPerSec
-			case KindGather:
-				ce.Name, ce.Cat, ce.Ph = "allgather", "collective", "X"
-				ce.Dur = e.Dur * usPerSec
-				ce.Args = map[string]any{"bytes": e.Bytes}
-			case KindFaultWait:
-				ce.Name, ce.Cat, ce.Ph = "fault-wait", "wait", "X"
-				ce.Dur = e.Dur * usPerSec
-				ce.Args = map[string]any{"peer": e.Peer, "tag": rec.TagLabel(int(e.Tag))}
-			case KindPhase:
-				ce.Name, ce.Cat, ce.Ph = "phase → "+rec.PhaseLabel(int(e.Phase)), "phase", "i"
-				ce.S = "t"
-			default:
-				continue
-			}
-			if err := emit(ce); err != nil {
-				return err
+				n += len(c.appendTo(scratch[:0]))
 			}
 		}
 	}
-	if _, err := bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
-		return err
+	return n, nil
+}
+
+// appendRankMeta appends rank r's thread_name and thread_sort_index records.
+func appendRankMeta(b []byte, r int) []byte {
+	b = append(b, ",\n"+`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(r), 10)
+	b = append(b, `,"args":{"name":"rank `...)
+	b = strconv.AppendInt(b, int64(r), 10)
+	b = append(b, `"}},`+"\n"+`{"name":"thread_sort_index","ph":"M","ts":0,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(r), 10)
+	b = append(b, `,"args":{"sort_index":`...)
+	b = strconv.AppendInt(b, int64(r), 10)
+	return append(b, "}}"...)
+}
+
+// chromeRec is one record of a rank's track: chromeEvent's fields (pid is
+// always 0) with the name split into a constant prefix and a label, the id
+// kept as the flow number it prints in hex, and the args as at most two
+// members in key order.
+type chromeRec struct {
+	prefix, label string
+	cat, ph       string
+	ts, dur       float64
+	tid           int
+	id            uint64
+	bp, s         string
+	args          [2]chromeArg
+	nargs         int
+}
+
+// chromeArg is one args member: the string str when isStr, else the
+// integer num.
+type chromeArg struct {
+	key   string
+	str   string
+	isStr bool
+	num   int64
+}
+
+// chromeRecs fills cs with the records of rank r's event e and returns how
+// many: a send or receive with a flow id is two — its slice and an end of
+// the flow arrow — an unknown kind none.
+func (rec *Recorder) chromeRecs(cs *[2]chromeRec, r int, e *Event) int {
+	c := &cs[0]
+	*c = chromeRec{ph: "X", ts: e.Start * usPerSec, dur: e.Dur * usPerSec, tid: r}
+	switch e.Kind {
+	case KindCompute, KindElapse:
+		// Busy slices are named by phase so every module gets a stable
+		// color in the viewer.
+		c.label, c.cat = rec.PhaseLabel(int(e.Phase)), "compute"
+	case KindSend:
+		c.prefix, c.label, c.cat = "send ", rec.TagLabel(int(e.Tag)), "comm"
+		c.args[0], c.args[1], c.nargs = chromeArg{key: "bytes", num: e.Bytes}, chromeArg{key: "to", num: int64(e.Peer)}, 2
+		if e.Flow != 0 {
+			// Flow start pinned inside the send slice.
+			cs[1] = chromeRec{label: "msg", cat: "comm", ph: "s", ts: c.ts, tid: r, id: e.Flow}
+			return 2
+		}
+	case KindRecv:
+		c.prefix, c.label, c.cat, c.ph, c.dur, c.s = "recv ", rec.TagLabel(int(e.Tag)), "comm", "i", 0, "t"
+		c.args[0], c.args[1], c.nargs = chromeArg{key: "bytes", num: e.Bytes}, chromeArg{key: "from", num: int64(e.Peer)}, 2
+		if e.Flow != 0 {
+			cs[1] = chromeRec{label: "msg", cat: "comm", ph: "f", ts: c.ts, tid: r, id: e.Flow, bp: "e"}
+			return 2
+		}
+	case KindWait:
+		c.label, c.cat = "recv-wait", "wait"
+		c.args[0], c.args[1], c.nargs = chromeArg{key: "from", num: int64(e.Peer)}, chromeArg{key: "tag", str: rec.TagLabel(int(e.Tag)), isStr: true}, 2
+	case KindBarrier:
+		c.label, c.cat = "barrier-wait", "barrier"
+		c.args[0], c.nargs = chromeArg{key: "released_by", num: int64(e.Peer)}, 1
+	case KindSync:
+		c.label, c.cat = "barrier-sync", "barrier"
+	case KindGather:
+		c.label, c.cat = "allgather", "collective"
+		c.args[0], c.nargs = chromeArg{key: "bytes", num: e.Bytes}, 1
+	case KindFaultWait:
+		c.label, c.cat = "fault-wait", "wait"
+		c.args[0], c.args[1], c.nargs = chromeArg{key: "peer", num: int64(e.Peer)}, chromeArg{key: "tag", str: rec.TagLabel(int(e.Tag)), isStr: true}, 2
+	case KindPhase:
+		c.prefix, c.label, c.cat, c.ph, c.dur, c.s = "phase → ", rec.PhaseLabel(int(e.Phase)), "phase", "i", 0, "t"
+	default:
+		return 0
 	}
-	return bw.Flush()
+	return 1
+}
+
+// appendTo appends the record, preceded by its separator.
+func (c *chromeRec) appendTo(b []byte) []byte {
+	b = append(b, ",\n"+`{"name":`...)
+	b = appendJSONString(b, c.prefix, c.label)
+	b = appendField(b, "cat", c.cat)
+	b = appendField(b, "ph", c.ph)
+	b = append(b, `,"ts":`...)
+	b = appendJSONFloat(b, c.ts)
+	if c.dur != 0 {
+		b = append(b, `,"dur":`...)
+		b = appendJSONFloat(b, c.dur)
+	}
+	b = append(b, `,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(c.tid), 10)
+	if c.id != 0 {
+		b = append(b, `,"id":"`...)
+		b = append(strconv.AppendUint(b, c.id, 16), '"')
+	}
+	b = appendField(b, "bp", c.bp)
+	b = appendField(b, "s", c.s)
+	for i, a := range c.args[:c.nargs] {
+		if i == 0 {
+			b = append(b, `,"args":{"`...)
+		} else {
+			b = append(b, `,"`...)
+		}
+		b = append(b, a.key...)
+		b = append(b, `":`...)
+		if a.isStr {
+			b = appendJSONString(b, "", a.str)
+		} else {
+			b = strconv.AppendInt(b, a.num, 10)
+		}
+	}
+	if c.nargs > 0 {
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendField appends the string member key of the encoder's own — plain
+// ASCII — value, omitted when empty.
+func appendField(b []byte, key, val string) []byte {
+	if val == "" {
+		return b
+	}
+	b = append(append(append(b, `,"`...), key...), `":"`...)
+	return append(append(b, val...), '"')
+}
+
+// appendJSONString appends prefix+label as encoding/json quotes a string:
+// prefix is the encoder's own and needs no escaping; a label holding a byte
+// that encoding/json may escape (a quote, a backslash, a control byte, <, >,
+// & or anything outside ASCII) goes through json.Marshal itself.
+func appendJSONString(b []byte, prefix, label string) []byte {
+	b = append(b, '"')
+	b = append(b, prefix...)
+	for i := 0; i < len(label); i++ {
+		if c := label[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(label) // a string always marshals
+			return append(b, q[1:]...)
+		}
+	}
+	b = append(b, label...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends the finite f as encoding/json writes a float64:
+// the shortest 'f' form, or 'e' below 1e-6 and from 1e21 in magnitude with
+// a two-digit negative exponent cut to one (e-07 → e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // ExtraSlice is one caller-timed complete slice to merge into a Chrome

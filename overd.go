@@ -108,7 +108,7 @@ func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 // a sweep) so each reuses what the last is done with. It is a host-side
 // resource control like Config.Workers: nil or any Storage yields
 // bit-identical results. It keeps what it is given until it is dropped; it
-// is meant to live as long as one sweep.
+// is meant to live as long as one sweep, or one busy stretch of a job server.
 type Storage = core.Storage
 
 // NewStorage returns an empty Storage.
