@@ -301,6 +301,22 @@ func TestDiffusiveFallbackDonor(t *testing.T) {
 	}
 }
 
+// A grid whose every point already has its own rank takes no more, however
+// busy: a subdomain holds at least one point.
+func TestDiffusiveNeverOutgrowsAGrid(t *testing.T) {
+	in := Input{Sizes: []int{2, 1000}, Dims: [][3]int{{2, 1, 1}, {10, 10, 10}}, NP: 4}
+	cur := buildPlan(in.Sizes, []int{2, 2}, 0)
+	fillBoxes(cur, in)
+	fb := Feedback{Busy: []float64{10, 9, 1, 2}, Wait: make([]float64, 4)}
+	got, res, err := newDiffusive(t, math.Inf(1)).Rebalance(cur, in, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rebalanced || got != cur {
+		t.Errorf("grid of 2 points grown past 2 ranks: Np %v", got.Np)
+	}
+}
+
 func TestMovedPoints(t *testing.T) {
 	dims := [][3]int{{10, 10, 1}}
 	plan, err := Static([]int{100}, 2)

@@ -58,6 +58,9 @@ func (b *diffusiveBalancer) Rebalance(cur *Plan, in Input, fb Feedback) (*Plan, 
 	}
 
 	dst := cur.Parts[hi].Grid
+	if cur.Np[dst] >= in.Sizes[dst] {
+		return cur, res, nil // every point of the busy grid has a rank already
+	}
 	src := cur.Parts[lo].Grid
 	if src == dst || cur.Np[src] <= 1 {
 		// The idle rank's grid cannot donate; fall back to the largest

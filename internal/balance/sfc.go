@@ -25,30 +25,16 @@ type sfcBalancer struct{}
 func (sfcBalancer) Name() string { return "sfc" }
 
 func (sfcBalancer) Plan(in Input) (*Plan, error) {
+	if err := checkProcs(in.Sizes, in.NP); err != nil {
+		return nil, err
+	}
 	ng := len(in.Sizes)
-	if ng == 0 {
-		return nil, errNoGrids()
-	}
-	if in.NP < ng {
-		return nil, errTooFewProcs(in.NP, ng)
-	}
 	order := mortonOrder(in.Centers, ng)
 	counts := knapsackCounts(in.Sizes, in.NP, order)
 
-	// Tau keeps Algorithm 1's meaning — achieved max load over the ideal
-	// mean, minus one — so the sweep table compares like with like.
-	var total float64
-	maxLoad := 0.0
-	for n, s := range in.Sizes {
-		total += float64(s)
-		if l := float64(s) / float64(counts[n]); l > maxLoad {
-			maxLoad = l
-		}
-	}
-	tau := maxLoad/(total/float64(in.NP)) - 1
-	if tau < 0 {
-		tau = 0
-	}
+	// Tau keeps Algorithm 1's meaning so the sweep table compares like
+	// with like.
+	tau := loadTau(in.Sizes, counts, in.NP)
 
 	plan := &Plan{Np: counts, Tau: tau}
 	rank := 0
@@ -131,16 +117,26 @@ func spreadBits(v uint32) uint64 {
 	return x
 }
 
-// knapsackCounts gives every grid one processor, then grants the remaining
-// NP-ng one at a time to the grid with the heaviest current per-processor
-// load g(n)/np(n). Ties break toward the earlier grid in Morton order; the
-// comparison cross-multiplies in integers so the greedy choice is exact.
+// knapsackCounts gives every grid one processor, then grants the rest by
+// grantGreedy in Morton order.
 func knapsackCounts(sizes []int, np int, order []int) []int {
 	counts := make([]int, len(sizes))
 	for i := range counts {
 		counts[i] = 1
 	}
-	for extra := np - len(sizes); extra > 0; extra-- {
+	return grantGreedy(sizes, counts, np, order)
+}
+
+// grantGreedy grants processors to counts one at a time, until they sum to
+// np, each to the grid with the heaviest current per-processor load
+// g(n)/np(n) — which minimizes the largest load. Ties break toward the
+// earlier grid in order; the comparison cross-multiplies in integers so the
+// greedy choice is exact.
+func grantGreedy(sizes, counts []int, np int, order []int) []int {
+	for _, c := range counts {
+		np -= c
+	}
+	for ; np > 0; np-- {
 		best := -1
 		for _, n := range order {
 			if best < 0 ||
@@ -153,10 +149,40 @@ func knapsackCounts(sizes []int, np int, order []int) []int {
 	return counts
 }
 
-func errNoGrids() error { return fmt.Errorf("balance: no grids") }
+// loadTau is a plan's static imbalance, Algorithm 1's τ read off the counts:
+// the largest per-processor load over the ideal mean, minus one.
+func loadTau(sizes, counts []int, np int) float64 {
+	var total float64
+	maxLoad := 0.0
+	for n, s := range sizes {
+		total += float64(s)
+		if l := float64(s) / float64(counts[n]); l > maxLoad {
+			maxLoad = l
+		}
+	}
+	if tau := maxLoad/(total/float64(np)) - 1; tau > 0 {
+		return tau
+	}
+	return 0
+}
 
-func errTooFewProcs(np, ng int) error {
-	return fmt.Errorf("balance: %d processors cannot cover %d grids (np(n) >= 1)", np, ng)
+// checkProcs refuses a processor count no plan can use: fewer than one per
+// grid, or more than there are gridpoints (a subdomain holds at least one).
+func checkProcs(sizes []int, np int) error {
+	if len(sizes) == 0 {
+		return fmt.Errorf("balance: no grids")
+	}
+	if np < len(sizes) {
+		return fmt.Errorf("balance: %d processors cannot cover %d grids (np(n) >= 1)", np, len(sizes))
+	}
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	if np > total {
+		return fmt.Errorf("balance: %d processors exceed the %d gridpoints", np, total)
+	}
+	return nil
 }
 
 func init() {

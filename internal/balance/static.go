@@ -74,12 +74,8 @@ func (p *Plan) MaxPoints() int {
 // integer-arithmetic tie (equal grids competing for an odd processor) is
 // kept verbatim: add the grid index n to g(n) and retry.
 func Static(sizes []int, np int) (*Plan, error) {
-	ng := len(sizes)
-	if ng == 0 {
-		return nil, fmt.Errorf("balance: no grids")
-	}
-	if np < ng {
-		return nil, fmt.Errorf("balance: %d processors cannot cover %d grids (np(n) >= 1)", np, ng)
+	if err := checkProcs(sizes, np); err != nil {
+		return nil, err
 	}
 	counts, tau, err := solveCounts(sizes, np, nil)
 	if err != nil {
@@ -92,9 +88,8 @@ func Static(sizes []int, np int) (*Plan, error) {
 // used by the dynamic scheme's re-run ("with above np(n) condition enforced
 // for grid n").
 func StaticWithMinimums(sizes []int, np int, minNp []int) (*Plan, error) {
-	ng := len(sizes)
-	if ng == 0 {
-		return nil, fmt.Errorf("balance: no grids")
+	if err := checkProcs(sizes, np); err != nil {
+		return nil, err
 	}
 	total := 0
 	for _, m := range minNp {
@@ -207,7 +202,14 @@ func solveCounts(sizes []int, np int, minNp []int) ([]int, float64, error) {
 			g[i] += float64(i + 1)
 		}
 	}
-	return nil, 0, fmt.Errorf("balance: static scheme failed to converge for %d grids on %d processors", ng, np)
+	// No ε gives Σnp = NP even perturbed (several grids' counts step
+	// together at every ε): grant from the minimums greedily instead.
+	order := make([]int, ng)
+	for i := range order {
+		order[i] = i
+	}
+	counts := grantGreedy(sizes, mins, np, order)
+	return counts, loadTau(sizes, counts, np), nil
 }
 
 func buildPlan(sizes []int, counts []int, tau float64) *Plan {

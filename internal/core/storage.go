@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/bits"
 	"sync"
 
@@ -10,18 +11,45 @@ import (
 	"overd/internal/flow"
 	"overd/internal/grid"
 	"overd/internal/par"
+	"overd/internal/trace"
 )
 
 // Storage keeps, between the runs handed it through Config.Storage, what a
 // run builds by first use and is done with when it returns — world slab, kit
-// of per-rank buffers and arenas, tape — each cleared, emptied or length-reset
-// when taken, so any Storage and nil (make and drop, same code) give identical
-// results. Safe for concurrent runs; it holds at most their peak (DESIGN.md).
+// of per-rank buffers and arenas, tape, and the Encoder a caller that traces
+// and encodes borrows — each cleared, emptied or length-reset when taken, so
+// any Storage and nil (make and drop, same code) give identical results.
+// Safe for concurrent runs; it holds at most their peak (DESIGN.md).
 type Storage struct {
 	mu    sync.Mutex
 	free  [][]float64
 	kits  []kit
 	tapes []*par.Tape
+	encs  []*Encoder
+}
+
+// Encoder is what a traced run and the encoding of its documents borrow
+// from a Storage: a Recorder, whose per-rank event buffers keep their
+// capacity across runs, and a scratch each document is appended into and
+// copied out of (Keep) at its exact length.
+type Encoder struct {
+	Rec     *trace.Recorder
+	Scratch []byte
+}
+
+// Keep returns a copy of doc, a document appended to e.Scratch[:0], at its
+// exact length, and keeps doc's storage, grown as it may be, as the scratch.
+func (e *Encoder) Keep(doc []byte) []byte {
+	e.Scratch = doc[:0]
+	return bytes.Clone(doc)
+}
+
+// Holdings is what a Storage keeps between runs.
+type Holdings struct {
+	SlabBytes    int64 // free world slabs
+	Kits         int   // per-rank buffer kits
+	Recorders    int   // encoders, each with one recorder
+	ScratchBytes int64 // their scratches' capacity
 }
 
 // kit is the first-use buffers of one world's ranks, which flow.Arenas and
@@ -35,15 +63,18 @@ type kit struct {
 // NewStorage returns an empty Storage.
 func NewStorage() *Storage { return &Storage{} }
 
-// Held reports what s holds between runs: the bytes of its free slabs and
-// how many kits it keeps.
-func (s *Storage) Held() (slabBytes int64, kits int) {
+// Held reports what s holds between runs.
+func (s *Storage) Held() Holdings {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	h := Holdings{Kits: len(s.kits), Recorders: len(s.encs)}
 	for _, b := range s.free {
-		slabBytes += 8 * int64(cap(b))
+		h.SlabBytes += 8 * int64(cap(b))
 	}
-	return slabBytes, len(s.kits)
+	for _, e := range s.encs {
+		h.ScratchBytes += int64(cap(e.Scratch))
+	}
+	return h
 }
 
 // get returns a slab of n values — the free slab of least sufficient
@@ -134,6 +165,33 @@ func (s *Storage) putTape(t *par.Tape) {
 	}
 	s.mu.Lock()
 	s.tapes = append(s.tapes, t)
+	s.mu.Unlock()
+}
+
+// GetEncoder returns an encoder for a traced run: one PutEncoder gave back,
+// or a new one. Its recorder is reset by the run that attaches it; its
+// scratch holds bytes of no meaning.
+func (s *Storage) GetEncoder() *Encoder {
+	if s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if last := len(s.encs) - 1; last >= 0 {
+			e := s.encs[last]
+			s.encs = s.encs[:last]
+			return e
+		}
+	}
+	return &Encoder{Rec: trace.NewRecorder()}
+}
+
+// PutEncoder gives an encoder from GetEncoder back; the caller keeps no
+// reference into its recorder or scratch.
+func (s *Storage) PutEncoder(e *Encoder) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.encs = append(s.encs, e)
 	s.mu.Unlock()
 }
 

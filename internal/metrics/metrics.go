@@ -20,8 +20,10 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -109,6 +111,9 @@ type Registry struct {
 	nRanks int
 	byName map[string]*metric
 	order  []*metric
+	// sorted is order sorted by name, rebuilt (never changed in place) by
+	// the first export after a registration.
+	sorted []*metric
 }
 
 // New returns an empty registry. Attach it to a run (which calls Reset with
@@ -456,13 +461,16 @@ func (m *metric) snapshot() []series {
 	return out
 }
 
-// snapshotAll returns all metrics sorted by name with their series.
+// snapshotAll returns all metrics sorted by name. The slice is shared by
+// every export until the next registration; callers must not modify it.
 func (g *Registry) snapshotAll() []*metric {
 	g.mu.Lock()
-	ms := append([]*metric(nil), g.order...)
-	g.mu.Unlock()
-	sort.Slice(ms, func(a, b int) bool { return ms[a].name < ms[b].name })
-	return ms
+	defer g.mu.Unlock()
+	if len(g.sorted) != len(g.order) {
+		g.sorted = slices.Clone(g.order)
+		slices.SortFunc(g.sorted, func(a, b *metric) int { return strings.Compare(a.name, b.name) })
+	}
+	return g.sorted
 }
 
 func (m *metric) labelName(i int) string {

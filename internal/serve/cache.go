@@ -13,6 +13,10 @@ import (
 // hit must reproduce. Steps records how many solver timesteps were executed
 // to produce them (re-executed crashed work included) — a cache hit serves
 // the same bytes with Steps work of zero.
+//
+// Artifacts are immutable once a Runner returns them: nothing writes into
+// their bytes, so the cache, its disk tier, job records and HTTP handlers
+// all share one *Artifacts and never copy it.
 type Artifacts struct {
 	// Tables is the JSON-lines tables document: the run's own rows plus
 	// any selected paper tables (overd.EmitRunJSON + overd.EmitTablesJSON).
@@ -32,18 +36,6 @@ type Artifacts struct {
 // Size returns the byte footprint charged against the cache budget.
 func (a *Artifacts) Size() int64 {
 	return int64(len(a.Tables) + len(a.Trace) + len(a.Metrics) + len(a.Chrome))
-}
-
-// clone returns an independent copy so cached bytes can never be mutated by
-// a caller holding a served slice.
-func (a *Artifacts) clone() *Artifacts {
-	return &Artifacts{
-		Tables:  append([]byte(nil), a.Tables...),
-		Trace:   append([]byte(nil), a.Trace...),
-		Metrics: append([]byte(nil), a.Metrics...),
-		Chrome:  append([]byte(nil), a.Chrome...),
-		Steps:   a.Steps,
-	}
 }
 
 // CacheStats is a point-in-time snapshot of cache counters.
@@ -89,20 +81,20 @@ func NewCache(budget int64, dir string) *Cache {
 
 var hashRe = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
-// Get returns a copy of the artifacts stored under hash, consulting memory
-// first and then the persistent tier (re-warming memory on a disk hit).
+// Get returns the artifacts stored under hash, consulting memory first and
+// then the persistent tier (re-warming memory on a disk hit).
 func (c *Cache) Get(hash string) (*Artifacts, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[hash]; ok {
 		c.lru.MoveToFront(el)
 		c.stats.Hits++
-		return el.Value.(*cacheEntry).art.clone(), true
+		return el.Value.(*cacheEntry).art, true
 	}
 	if art, ok := c.readDisk(hash); ok {
 		c.stats.Hits++
 		c.insert(hash, art)
-		return art.clone(), true
+		return art, true
 	}
 	c.stats.Misses++
 	return nil, false
@@ -125,9 +117,8 @@ func (c *Cache) Put(hash string, art *Artifacts) error {
 	if _, dup := c.entries[hash]; dup {
 		return diskErr // deterministic artifacts: an overwrite changes nothing
 	}
-	kept := art.clone()
-	if kept.Size() <= c.budget {
-		c.insert(hash, kept)
+	if art.Size() <= c.budget {
+		c.insert(hash, art)
 	}
 	return diskErr
 }
@@ -165,14 +156,25 @@ func (c *Cache) entryDir(hash string) string {
 	return filepath.Join(c.dir, hash[:2], hash)
 }
 
-// diskFiles are the persisted artifact documents. chrome.json joined the
-// set with the span layer; entries written before it lack the file and read
-// back as misses (a cold re-run, never a torn artifact).
+// diskFiles are the persisted artifact documents. An entry directory that
+// lacks any of them (one written before chrome.json joined the set) reads
+// back as a miss — a cold re-run, never a torn artifact — and the write
+// that follows replaces it.
 var diskFiles = []string{"tables.jsonl", "trace.json", "metrics.json", "chrome.json"}
+
+// complete reports whether the entry directory holds every diskFiles file.
+func complete(dir string) bool {
+	for _, name := range diskFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			return false
+		}
+	}
+	return true
+}
 
 func (c *Cache) writeDisk(hash string, art *Artifacts) error {
 	dir := c.entryDir(hash)
-	if _, err := os.Stat(filepath.Join(dir, diskFiles[len(diskFiles)-1])); err == nil {
+	if complete(dir) {
 		return nil // already stored; artifacts are deterministic
 	}
 	tmp := dir + ".tmp"
@@ -188,23 +190,17 @@ func (c *Cache) writeDisk(hash string, art *Artifacts) error {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}
 	if err := os.Rename(tmp, dir); err != nil {
-		// An entry written before chrome.json joined the artifact set blocks
-		// the rename; replace it wholesale (the other three documents are
-		// byte-identical by determinism, so nothing of value is lost).
-		if _, statErr := os.Stat(filepath.Join(dir, diskFiles[len(diskFiles)-1])); os.IsNotExist(statErr) {
-			if _, oldErr := os.Stat(filepath.Join(dir, diskFiles[0])); oldErr == nil {
-				if rmErr := os.RemoveAll(dir); rmErr == nil {
-					if err = os.Rename(tmp, dir); err == nil {
-						return nil
-					}
-				}
-			}
-		}
 		// A concurrent writer may have won the rename; that copy is
-		// byte-identical by construction, so losing the race is fine.
-		if _, statErr := os.Stat(filepath.Join(dir, diskFiles[0])); statErr == nil {
+		// byte-identical by construction, so losing the race is fine. An
+		// incomplete entry in the way is replaced wholesale.
+		if complete(dir) {
 			_ = os.RemoveAll(tmp)
 			return nil
+		}
+		if rmErr := os.RemoveAll(dir); rmErr == nil {
+			if err = os.Rename(tmp, dir); err == nil {
+				return nil
+			}
 		}
 		return fmt.Errorf("serve: cache rename: %w", err)
 	}

@@ -76,9 +76,11 @@ type statusResp struct {
 		Appends int64 `json:"appends"`
 	} `json:"journal"`
 	Storage struct {
-		SlabBytes int64 `json:"slab_bytes"`
-		Kits      int   `json:"kits"`
-		Releases  int64 `json:"releases"`
+		SlabBytes    int64 `json:"slab_bytes"`
+		Kits         int   `json:"kits"`
+		Recorders    int   `json:"recorders"`
+		ScratchBytes int64 `json:"scratch_bytes"`
+		Releases     int64 `json:"releases"`
 	} `json:"storage"`
 	FlightRecorder struct {
 		Enabled  bool `json:"enabled"`

@@ -58,7 +58,11 @@ func runJob(ctx context.Context, job Job, progress func(Event), storage *overd.S
 	if job.Fo > 0 {
 		fo = job.Fo
 	}
-	rec := overd.NewTraceRecorder()
+	// The recorder and the scratch every document is encoded in go back
+	// only once all four artifacts are copied out of them.
+	enc := storage.GetEncoder()
+	defer storage.PutEncoder(enc)
+	rec := enc.Rec
 	reg := overd.NewMetricsRegistry()
 	cfg := overd.Config{
 		Case: mk(job.Scale), Nodes: job.Nodes, Machine: m,
@@ -106,8 +110,8 @@ func runJob(ctx context.Context, job Job, progress func(Event), storage *overd.S
 		return nil, err
 	}
 
-	var tables bytes.Buffer
-	if err := overd.EmitRunJSON(&tables, res); err != nil {
+	buf := bytes.NewBuffer(enc.Scratch[:0])
+	if err := overd.EmitRunJSON(buf, res); err != nil {
 		return nil, fmt.Errorf("serve: emitting run rows: %w", err)
 	}
 	if len(job.Tables) > 0 {
@@ -116,37 +120,36 @@ func runJob(ctx context.Context, job Job, progress func(Event), storage *overd.S
 			want[id] = true
 		}
 		opt := overd.Options{Scale: job.Scale, Steps: job.Steps, Storage: storage}
-		if err := overd.EmitTablesJSON(&tables, opt, want); err != nil {
+		if err := overd.EmitTablesJSON(buf, opt, want); err != nil {
 			return nil, fmt.Errorf("serve: emitting tables %v: %w", job.Tables, err)
 		}
 	}
+	tables := enc.Keep(buf.Bytes())
 
-	traceJSON, err := json.MarshalIndent(rec.Summarize(), "", "  ")
-	if err != nil {
+	buf = bytes.NewBuffer(enc.Scratch)
+	je := json.NewEncoder(buf)
+	je.SetIndent("", "  ")
+	if err := je.Encode(rec.Summarize()); err != nil {
 		return nil, fmt.Errorf("serve: encoding trace summary: %w", err)
 	}
-	traceJSON = append(traceJSON, '\n')
+	traceJSON := enc.Keep(buf.Bytes())
 
-	var metricsBuf bytes.Buffer
-	if err := reg.WriteJSON(&metricsBuf); err != nil {
-		return nil, fmt.Errorf("serve: encoding metrics: %w", err)
-	}
+	metricsJSON := enc.Keep(reg.AppendJSON(enc.Scratch))
 
 	// The full virtual-time timeline, kept as an artifact so the span layer
 	// can later merge the service's wall-clock spans next to it (GET
 	// /jobs/{id}/spans?format=chrome) without re-running the solve. Like
-	// every artifact it is a pure function of the canonical job. Encoded in
-	// place: one allocation, of the document's length.
-	chrome, err := rec.AppendChromeTrace(nil)
+	// every artifact it is a pure function of the canonical job.
+	chrome, err := rec.AppendChromeTrace(enc.Scratch)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding chrome trace: %w", err)
 	}
 
 	return &Artifacts{
-		Tables:  tables.Bytes(),
+		Tables:  tables,
 		Trace:   traceJSON,
-		Metrics: metricsBuf.Bytes(),
-		Chrome:  chrome,
+		Metrics: metricsJSON,
+		Chrome:  enc.Keep(chrome),
 		Steps:   len(res.Steps) + res.RecoverySteps,
 	}, nil
 }

@@ -43,12 +43,15 @@ type statusView struct {
 
 	Journal *journalStatus `json:"journal,omitempty"`
 
-	// Storage is what the server's runs leave for the next: free slab bytes
-	// and kits held, and how many times an idle server or Shutdown dropped it.
+	// Storage is what the server's runs leave for the next: free slab bytes,
+	// kits, trace recorders and encode-scratch bytes held, and how many times
+	// an idle server or Shutdown dropped it.
 	Storage struct {
-		SlabBytes int64 `json:"slab_bytes"`
-		Kits      int   `json:"kits"`
-		Releases  int64 `json:"releases"`
+		SlabBytes    int64 `json:"slab_bytes"`
+		Kits         int   `json:"kits"`
+		Recorders    int   `json:"recorders"`
+		ScratchBytes int64 `json:"scratch_bytes"`
+		Releases     int64 `json:"releases"`
 	} `json:"storage"`
 
 	FlightRecorder struct {
@@ -132,7 +135,9 @@ func (s *Server) statusSnapshot() statusView {
 		v.Jobs[short] = s.reg.CounterValue(name, 0)
 	}
 
-	v.Storage.SlabBytes, v.Storage.Kits = store.Held()
+	h := store.Held()
+	v.Storage.SlabBytes, v.Storage.Kits = h.SlabBytes, h.Kits
+	v.Storage.Recorders, v.Storage.ScratchBytes = h.Recorders, h.ScratchBytes
 
 	cs := s.cache.Stats()
 	v.Cache.Hits, v.Cache.Misses, v.Cache.Evictions = cs.Hits, cs.Misses, cs.Evictions

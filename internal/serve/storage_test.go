@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"overd"
+	"overd/internal/core"
+	"overd/internal/trace"
 )
 
 // storageJobs is the mixed sequence one server runs on one Storage: worlds
@@ -69,10 +71,33 @@ func storageWants(t *testing.T) []*Artifacts {
 	return storageWant
 }
 
+// poisonEncoders fills the event buffers and the scratch of every encoder
+// st holds with garbage, as a run that left them dirty would.
+func poisonEncoders(st *overd.Storage) {
+	var encs []*core.Encoder
+	for n := st.Held().Recorders; n > 0; n-- {
+		e := st.GetEncoder()
+		e.Rec.Reset(3)
+		for r := 0; r < 3; r++ {
+			for i := 0; i < 4096; i++ {
+				e.Rec.Buf(r).Emit(trace.Event{Kind: 200, Rank: -7, Peer: 1 << 30, Flow: 0xdead, Start: -1, Dur: 1e300})
+			}
+			e.Rec.SetFinalClock(r, 1e9)
+		}
+		e.Rec.SetWindow(-5, 5)
+		e.Scratch = bytes.Repeat([]byte(`}"\x`), 1+cap(e.Scratch)/4)
+		encs = append(encs, e)
+	}
+	for _, e := range encs {
+		st.PutEncoder(e)
+	}
+}
+
 // One server's runs share one Storage, whatever they left in it — a
-// cancelled run, a crashed world, a sweep of a paper table, a panic — and
-// every artifact of every job is the byte of RunJob's with no Storage, at
-// GOMAXPROCS 1 and 4 (run under -race in CI).
+// cancelled run, a crashed world, a sweep of a paper table, a panic, and
+// encoders whose recorders and scratch were filled with garbage between
+// jobs — and every artifact of every job is the byte of RunJob's with no
+// Storage, at GOMAXPROCS 1 and 4 (run under -race in CI).
 func TestServeStorageBitIdentical(t *testing.T) {
 	want := storageWants(t)
 	for _, procs := range []int{1, 4} {
@@ -87,6 +112,7 @@ func TestServeStorageBitIdentical(t *testing.T) {
 				if job.Nodes == 5 {
 					panic("stub runner")
 				}
+				poisonEncoders(s.storage())
 				return real(ctx, job, progress)
 			}
 			s.Start()
@@ -136,8 +162,8 @@ func TestServeStorageBitIdentical(t *testing.T) {
 					t.Errorf("GOMAXPROCS %d: %s through the server's Storage differs from RunJob with none", procs, storageJobs[i])
 				}
 			}
-			if _, kits := s.storage().Held(); kits == 0 {
-				t.Errorf("GOMAXPROCS %d: the server's Storage holds no kit: its runs did not draw on it", procs)
+			if h := s.storage().Held(); h.Kits == 0 || h.Recorders == 0 || h.ScratchBytes == 0 {
+				t.Errorf("GOMAXPROCS %d: the server's Storage holds %+v: its runs did not draw on it", procs, h)
 			}
 			s.mu.Lock()
 			cstatus := cj.status
@@ -164,8 +190,8 @@ func TestServeStorageIdleRelease(t *testing.T) {
 	_, v := postJob(t, ts, `{"case":"airfoil","nodes":4,"steps":1,"scale":0.05}`, "")
 	waitDone(t, ts, v.ID)
 	st := getStatus(t, ts).Storage
-	if st.SlabBytes == 0 || st.Kits == 0 || st.Releases != 0 {
-		t.Fatalf("after one run /status.storage = %+v, want a slab, a kit and no release", st)
+	if st.SlabBytes == 0 || st.Kits == 0 || st.Recorders != 1 || st.ScratchBytes == 0 || st.Releases != 0 {
+		t.Fatalf("after one run /status.storage = %+v, want a slab, a kit, a recorder, a scratch and no release", st)
 	}
 
 	s.releaseIfIdle(time.Now())
@@ -179,7 +205,7 @@ func TestServeStorageIdleRelease(t *testing.T) {
 	waitDone(t, ts, v.ID)
 
 	s.releaseIfIdle(time.Now().Add(storageGrace))
-	if st := getStatus(t, ts).Storage; st.SlabBytes != 0 || st.Kits != 0 || st.Releases != 1 {
+	if st := getStatus(t, ts).Storage; st.SlabBytes != 0 || st.Kits != 0 || st.Recorders != 0 || st.ScratchBytes != 0 || st.Releases != 1 {
 		t.Fatalf("after the grace period /status.storage = %+v, want empty and one release", st)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+
+	"overd/internal/jsonenc"
 )
 
 // chromeEvent is one entry of the catapult trace-event JSON schema
@@ -30,6 +33,9 @@ type chromeEvent struct {
 }
 
 const usPerSec = 1e6
+
+// chromeRecRoom is room for an event's records unless its labels are long.
+const chromeRecRoom = 1024
 
 // The document around the per-rank records: its head carries the process
 // record, every record after it starts with ",\n".
@@ -55,56 +61,30 @@ func (rec *Recorder) WriteChromeTrace(w io.Writer) error {
 
 // AppendChromeTrace appends the document WriteChromeTrace writes to dst and
 // returns the extended buffer — byte for byte what encoding/json makes of
-// one chromeEvent per record. A first pass sizes the document with the same
-// appenders, so dst grows at most once and nothing is allocated per event.
-// A time that is not finite has no JSON form: dst comes back unchanged with
-// an error.
+// one chromeEvent per record, formatted in one pass with nothing allocated
+// per event: into a dst that can hold it, nothing at all. A time that is not
+// finite has no JSON form: dst comes back unchanged with an error.
 func (rec *Recorder) AppendChromeTrace(dst []byte) ([]byte, error) {
-	n, err := rec.chromeLen()
-	if err != nil {
-		return dst, err
-	}
-	b := dst
-	if cap(b)-len(b) < n {
-		b = make([]byte, len(dst), len(dst)+n)
-		copy(b, dst)
-	}
-	b = append(b, chromeHead...)
+	b := append(dst, chromeHead...)
 	for r := range rec.bufs {
 		b = appendRankMeta(b, r)
 	}
 	var cs [2]chromeRec
 	for r := range rec.bufs {
 		for i := range rec.bufs[r].ev {
+			if cap(b)-len(b) < chromeRecRoom {
+				b = slices.Grow(b, max(len(b), 4096)) // double, as RankBuf.grow does
+			}
 			for j := range rec.chromeRecs(&cs, r, &rec.bufs[r].ev[i]) {
-				b = cs[j].appendTo(b)
+				c := &cs[j]
+				if math.IsInf(c.ts, 0) || math.IsNaN(c.ts) || math.IsInf(c.dur, 0) || math.IsNaN(c.dur) {
+					return dst, fmt.Errorf("trace: chrome export: rank %d times %v+%v have no JSON form", r, c.ts, c.dur)
+				}
+				b = c.appendTo(b)
 			}
 		}
 	}
 	return append(b, chromeTail...), nil
-}
-
-// chromeLen is the length of the document: every record appended to a
-// scratch buffer and counted.
-func (rec *Recorder) chromeLen() (int, error) {
-	var scratch [256]byte
-	n := len(chromeHead) + len(chromeTail)
-	for r := range rec.bufs {
-		n += len(appendRankMeta(scratch[:0], r))
-	}
-	var cs [2]chromeRec
-	for r := range rec.bufs {
-		for i := range rec.bufs[r].ev {
-			for j := range rec.chromeRecs(&cs, r, &rec.bufs[r].ev[i]) {
-				c := &cs[j]
-				if math.IsInf(c.ts, 0) || math.IsNaN(c.ts) || math.IsInf(c.dur, 0) || math.IsNaN(c.dur) {
-					return 0, fmt.Errorf("trace: chrome export: rank %d times %v+%v have no JSON form", r, c.ts, c.dur)
-				}
-				n += len(c.appendTo(scratch[:0]))
-			}
-		}
-	}
-	return n, nil
 }
 
 // appendRankMeta appends rank r's thread_name and thread_sort_index records.
@@ -195,14 +175,14 @@ func (rec *Recorder) chromeRecs(cs *[2]chromeRec, r int, e *Event) int {
 // appendTo appends the record, preceded by its separator.
 func (c *chromeRec) appendTo(b []byte) []byte {
 	b = append(b, ",\n"+`{"name":`...)
-	b = appendJSONString(b, c.prefix, c.label)
+	b = jsonenc.AppendString(b, c.prefix, c.label)
 	b = appendField(b, "cat", c.cat)
 	b = appendField(b, "ph", c.ph)
 	b = append(b, `,"ts":`...)
-	b = appendJSONFloat(b, c.ts)
+	b = jsonenc.AppendFloat(b, c.ts)
 	if c.dur != 0 {
 		b = append(b, `,"dur":`...)
-		b = appendJSONFloat(b, c.dur)
+		b = jsonenc.AppendFloat(b, c.dur)
 	}
 	b = append(b, `,"pid":0,"tid":`...)
 	b = strconv.AppendInt(b, int64(c.tid), 10)
@@ -221,7 +201,7 @@ func (c *chromeRec) appendTo(b []byte) []byte {
 		b = append(b, a.key...)
 		b = append(b, `":`...)
 		if a.isStr {
-			b = appendJSONString(b, "", a.str)
+			b = jsonenc.AppendString(b, "", a.str)
 		} else {
 			b = strconv.AppendInt(b, a.num, 10)
 		}
@@ -240,41 +220,6 @@ func appendField(b []byte, key, val string) []byte {
 	}
 	b = append(append(append(b, `,"`...), key...), `":"`...)
 	return append(append(b, val...), '"')
-}
-
-// appendJSONString appends prefix+label as encoding/json quotes a string:
-// prefix is the encoder's own and needs no escaping; a label holding a byte
-// that encoding/json may escape (a quote, a backslash, a control byte, <, >,
-// & or anything outside ASCII) goes through json.Marshal itself.
-func appendJSONString(b []byte, prefix, label string) []byte {
-	b = append(b, '"')
-	b = append(b, prefix...)
-	for i := 0; i < len(label); i++ {
-		if c := label[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(label) // a string always marshals
-			return append(b, q[1:]...)
-		}
-	}
-	b = append(b, label...)
-	return append(b, '"')
-}
-
-// appendJSONFloat appends the finite f as encoding/json writes a float64:
-// the shortest 'f' form, or 'e' below 1e-6 and from 1e21 in magnitude with
-// a two-digit negative exponent cut to one (e-07 → e-7).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // ExtraSlice is one caller-timed complete slice to merge into a Chrome

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"testing"
 )
 
@@ -175,21 +174,21 @@ func TestAppendChromeTraceEqualsReference(t *testing.T) {
 }
 
 // A document appended into a buffer that can hold it costs no allocation:
-// neither the sizing pass nor the records allocate.
+// no record allocates.
 func TestAppendChromeTraceZeroAlloc(t *testing.T) {
 	rec := everyKind()
 	doc, err := rec.AppendChromeTrace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc) != cap(doc) {
-		t.Errorf("document of %d bytes allocated with capacity %d: the sizing pass is off", len(doc), cap(doc))
-	}
 	buf := make([]byte, 0, len(doc))
 	if allocs := testing.AllocsPerRun(20, func() {
 		buf, _ = rec.AppendChromeTrace(buf[:0])
 	}); allocs != 0 {
 		t.Errorf("AppendChromeTrace into a sufficient buffer: %v allocations, want 0", allocs)
+	}
+	if !bytes.Equal(buf, doc) {
+		t.Error("the document appended in place differs from the one appended to nil")
 	}
 }
 
@@ -217,17 +216,6 @@ func FuzzChromeEvent(f *testing.F) {
 			t.Fatalf("AppendChromeTrace wrote invalid JSON: %q", got)
 		}
 	})
-}
-
-// Floats take encoding/json's form at every switch and edge.
-func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 1e-6, 9.999999e-7, 1e-7, -1e-7,
-		1e20, 1e21, 123456789e13, 5e-324, 2.2250738585072014e-308, math.MaxFloat64, 0.1, 1.0 / 3} {
-		want, _ := json.Marshal(f)
-		if got := appendJSONFloat(nil, f); string(got) != string(want) {
-			t.Errorf("%v: got %s, want %s", f, got, want)
-		}
-	}
 }
 
 // decodeTraceDoc parses a Chrome trace document into generic events.

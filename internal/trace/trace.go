@@ -21,6 +21,8 @@
 // through a caller-provided function.
 package trace
 
+import "slices"
+
 // Kind classifies an event. Busy kinds advance the clock by modeled work;
 // wait kinds advance it by blocking on a peer; marker kinds carry no time.
 type Kind uint8
@@ -140,7 +142,16 @@ type RankBuf struct {
 
 // Emit appends an event. Amortized O(1); the only cost besides the append is
 // occasional slice growth.
-func (b *RankBuf) Emit(e Event) { b.ev = append(b.ev, e) }
+func (b *RankBuf) Emit(e Event) {
+	if len(b.ev) == cap(b.ev) {
+		b.grow()
+	}
+	b.ev = append(b.ev, e)
+}
+
+// grow doubles the buffer: append grows a long slice by only a quarter, so
+// a buffer filled from empty would allocate about five times its final size.
+func (b *RankBuf) grow() { b.ev = slices.Grow(b.ev, max(len(b.ev), 64)) }
 
 // Len returns the number of events recorded so far.
 func (b *RankBuf) Len() int { return len(b.ev) }
@@ -148,7 +159,7 @@ func (b *RankBuf) Len() int { return len(b.ev) }
 // Recorder collects the per-rank event streams of one run plus the metadata
 // the analyses need. Attach it through core.Config.Trace (or par's
 // World.SetTrace); a Recorder may be reused across runs — each attachment
-// resets it.
+// resets it, keeping its buffers' capacity.
 type Recorder struct {
 	bufs       []RankBuf
 	finalClock []float64
@@ -166,10 +177,24 @@ type Recorder struct {
 // a world (which calls Reset with the rank count).
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Reset clears all state and sizes the recorder for n ranks.
+// Reset clears all state and sizes the recorder for n ranks. Each rank's
+// buffer keeps the capacity an earlier run grew it to, so a recorder reused
+// for a run of the same size emits without growing.
 func (rec *Recorder) Reset(n int) {
-	rec.bufs = make([]RankBuf, n)
-	rec.finalClock = make([]float64, n)
+	if cap(rec.bufs) < n {
+		bufs := make([]RankBuf, n)
+		copy(bufs, rec.bufs[:cap(rec.bufs)])
+		rec.bufs = bufs
+	}
+	rec.bufs = rec.bufs[:n]
+	for i := range rec.bufs {
+		rec.bufs[i].ev = rec.bufs[i].ev[:0]
+	}
+	if cap(rec.finalClock) < n {
+		rec.finalClock = make([]float64, n)
+	}
+	rec.finalClock = rec.finalClock[:n]
+	clear(rec.finalClock)
 	rec.winStart, rec.winEnd, rec.hasWindow = 0, 0, false
 }
 
@@ -180,7 +205,8 @@ func (rec *Recorder) NRanks() int { return len(rec.bufs) }
 func (rec *Recorder) Buf(rank int) *RankBuf { return &rec.bufs[rank] }
 
 // Events returns rank's recorded events in emission (virtual-time) order.
-// The returned slice is owned by the recorder; callers must not mutate it.
+// The returned slice is owned by the recorder and valid until its next
+// Reset; callers must not mutate it.
 func (rec *Recorder) Events(rank int) []Event { return rec.bufs[rank].ev }
 
 // SetFinalClock records rank's clock at the end of the run.

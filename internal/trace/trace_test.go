@@ -202,3 +202,34 @@ func TestWindowDefaultsToMaxFinalClock(t *testing.T) {
 		t.Errorf("default window = [%v, %v], want [0, 5]", s, e)
 	}
 }
+
+// A reset recorder keeps every rank's buffer: a second run of the same size
+// emits without growing one, and sees none of the first run's events.
+func TestResetKeepsBufferCapacity(t *testing.T) {
+	const ranks, perRank = 3, 500
+	rec := NewRecorder()
+	run := func() {
+		rec.Reset(ranks)
+		for r := 0; r < ranks; r++ {
+			for i := 0; i < perRank; i++ {
+				rec.Buf(r).Emit(Event{Kind: KindCompute, Start: float64(i), Dur: 1})
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("same-size run on a reset recorder: %v allocations, want 0", allocs)
+	}
+	rec.Reset(ranks + 1)
+	for r := 0; r < ranks+1; r++ {
+		if n := len(rec.Events(r)); n != 0 {
+			t.Errorf("rank %d holds %d events after Reset", r, n)
+		}
+		if c := rec.FinalClock(r); c != 0 {
+			t.Errorf("rank %d final clock %v after Reset", r, c)
+		}
+	}
+	if cap(rec.bufs[ranks-1].ev) < perRank {
+		t.Error("growing the rank count dropped an earlier rank's buffer")
+	}
+}
