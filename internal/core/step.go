@@ -297,12 +297,12 @@ func (st *runState) balanceStep(r *par.Rank, step int) {
 	needs := st.stepBal.Needs()
 	fb := balance.Feedback{Step: step}
 	if needs.IGBPs {
-		recvAny := r.AllGather(st.solvers[r.ID].ReceivedIGBPs, 8)
-		recv := make([]int, len(recvAny))
-		for i, v := range recvAny {
-			recv[i] = v.(int)
+		// A count travels as a float64, exact below 2^53.
+		all := r.AllGatherFloats([]float64{float64(st.solvers[r.ID].ReceivedIGBPs)})
+		fb.ReceivedIGBPs = make([]int, len(all))
+		for i, v := range all {
+			fb.ReceivedIGBPs[i] = int(v)
 		}
-		fb.ReceivedIGBPs = recv
 	}
 	if needs.Waits {
 		// Busy/wait deltas since the previous check: clock advance minus
@@ -310,12 +310,11 @@ func (st *runState) balanceStep(r *par.Rank, step int) {
 		// scheme's load signal. One 16-byte gather ships both.
 		wait := r.TotalWaitTime() - st.prevWait[r.ID]
 		busy := (r.Clock - st.prevClock[r.ID]) - wait
-		bwAny := r.AllGather([2]float64{busy, wait}, 16)
-		fb.Busy = make([]float64, len(bwAny))
-		fb.Wait = make([]float64, len(bwAny))
-		for i, v := range bwAny {
-			bw := v.([2]float64)
-			fb.Busy[i], fb.Wait[i] = bw[0], bw[1]
+		all := r.AllGatherFloats([]float64{busy, wait})
+		fb.Busy = make([]float64, len(all)/2)
+		fb.Wait = make([]float64, len(all)/2)
+		for i := range fb.Busy {
+			fb.Busy[i], fb.Wait[i] = all[2*i], all[2*i+1]
 		}
 		st.prevClock[r.ID] = r.Clock
 		st.prevWait[r.ID] = r.TotalWaitTime()

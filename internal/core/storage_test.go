@@ -137,9 +137,9 @@ func TestStoragePoisonedBitIdentical(t *testing.T) {
 		}
 	}
 	// The poison reached what it is meant for: the chain left solver
-	// buffers, a memo, masks and envelopes behind.
+	// buffers, a memo, masks, halo envelopes and fringe-value batches behind.
 	poisoned := poisonStorage(s)
-	for _, typ := range []string{"[]float64", "[]int", "[]bool", "[]dcf.walkSlot", "[]overset.IGBP", "map[dcf.restartKey]dcf.restartHint", "*flow.faceMsg", "*dcf.valMsg"} {
+	for _, typ := range []string{"[]float64", "[]int", "[]bool", "[]dcf.walkSlot", "[]overset.IGBP", "map[dcf.restartKey]dcf.restartHint", "*flow.faceMsg", "[]dcf.valMsg"} {
 		if poisoned[typ] == 0 {
 			t.Errorf("the chain left no %s in its Storage to poison", typ)
 		}

@@ -83,11 +83,6 @@ type Solver struct {
 	// (nil otherwise; see metrics.go).
 	met *solverMetrics
 
-	// ar, when non-nil, holds the world-shared per-rank arenas of fringe-
-	// value envelopes and this rank's bufs (see UseArenas). Nil allocates an
-	// envelope per batch.
-	ar *Arenas
-
 	anyLostFwds bool
 
 	// What stays true while my grid does not move (xf is its Xform at the
@@ -128,23 +123,26 @@ type bufs struct {
 	// map-based buckets had to sort into, so sends stay deterministic by
 	// construction.
 	//
-	// outbox, outboxNext, fwdBuf and replies are also the message buffers:
-	// a batch is filled in place and its address sent, and nothing comes
-	// back. That is safe because two barriers lie between a receiver's last
-	// read and the sender's next write: requests sent in Phase A of a round
-	// are read in Phase B of that round, and the bucket is next written in
-	// Phase A of the round after (outbox and outboxNext alternate, so the
-	// Phase C appends go to the other one); replies sent in Phase B are read
-	// in Phase C, and the next Phase B lies behind the all-reduce and a
-	// barrier. Forwards are appended to fwdbox during the very Phase B in
-	// which the previous round's forwards are read, hence their copy into
-	// fwdBuf at send time.
+	// outbox, outboxNext, fwdBuf, replies and vals are also the message
+	// buffers: a batch is filled in place and its address sent, and nothing
+	// comes back. That is safe because a rendezvous lies between a
+	// receiver's last read and the sender's next write: requests sent in
+	// Phase A of a round are read in Phase B of that round, and the bucket
+	// is next written in Phase A of the round after (outbox and outboxNext
+	// alternate, so the Phase C appends go to the other one); replies sent
+	// in Phase B are read in Phase C, and the next Phase B lies behind the
+	// all-reduce and a barrier; fringe values are read in the UpdateFringes
+	// call that sends them, and its callers rendezvous before the next.
+	// Forwards are appended to fwdbox during the very Phase B in which the
+	// previous round's forwards are read, hence their copy into fwdBuf at
+	// send time.
 	pend       []pendingPt // dense, indexed by IGBP id
 	outbox     []reqMsg    // destination rank -> queued requests
 	outboxNext []reqMsg    // double buffer for lost-send requeues
 	fwdbox     [][]ptReq   // destination rank -> forwards
 	fwdBuf     []reqMsg    // destination rank -> forwards as sent
 	replies    []repMsg    // origin rank -> computed replies
+	vals       []valMsg    // origin rank -> fringe values owed, as sent
 	lostFwds   [][]ptRep   // origin rank -> broken-chain failure replies
 	rankBounds []geom.Box
 	inbound    []par.Msg
@@ -215,15 +213,10 @@ const chainRestartBudget = 3
 type reqMsg struct{ Pts []ptReq }
 
 // Arenas holds what one world's solvers make by first use and the next
-// world's can use again: the per-rank sharded arena of fringe-value envelopes
-// (see par.Arena) and every rank's bufs. Fringe values have no barrier
-// between a receiver's read and the sender's next step, so unlike request
-// and reply batches (see bufs) their envelopes travel: the sender Gets one,
-// the receiver copies the contents out and Puts it into its own shard. One
-// Arenas is shared by all of a world's solvers and survives repartitions
-// (rank count is stable).
+// world's can use again: every rank's bufs, message batches included (no
+// batch travels: see bufs). One Arenas is shared by all of a world's solvers
+// and survives repartitions (rank count is stable).
 type Arenas struct {
-	val  par.Arena[valMsg]
 	bufs []bufs // indexed by rank
 }
 
@@ -236,31 +229,15 @@ func NewArenas(n int) *Arenas {
 
 // Resize fits a to an n-rank world, while no world runs on it; what ranks
 // beyond n left waits for a world that has such ranks.
-func (a *Arenas) Resize(n int) {
-	a.val.Init(n)
-	a.bufs = par.Resized(a.bufs, n)
-}
+func (a *Arenas) Resize(n int) { a.bufs = par.Resized(a.bufs, n) }
 
-// UseArenas attaches the world's arenas before the first Solve: s takes its
-// envelopes from its rank's shard and works in its rank's bufs, reset. Nil
-// leaves s its own. Affects host allocation behavior only.
+// UseArenas attaches the world's arenas before the first Solve: s works in
+// its rank's bufs, reset. Nil leaves s its own. Affects host allocation
+// behavior only.
 func (s *Solver) UseArenas(a *Arenas) {
-	if s.ar = a; a != nil {
+	if a != nil {
 		s.bufs = &a.bufs[s.Rank]
 		s.bufs.reset()
-	}
-}
-
-func (s *Solver) getVal() *valMsg {
-	if s.ar != nil {
-		return s.ar.val.Get(s.Rank)
-	}
-	return new(valMsg)
-}
-
-func (s *Solver) putVal(x *valMsg) {
-	if s.ar != nil {
-		s.ar.val.Put(s.Rank, x)
 	}
 }
 
@@ -304,6 +281,7 @@ func (s *Solver) ensureWorld() {
 		s.fwdbox = par.Resized(s.fwdbox, n)
 		s.fwdBuf = par.Resized(s.fwdBuf, n)
 		s.replies = par.Resized(s.replies, n)
+		s.vals = par.Resized(s.vals, n)
 		s.lostFwds = par.Resized(s.lostFwds, n)
 		s.sendList = par.Resized(s.sendList, n)
 		s.expect = par.Resized(s.expect, n)

@@ -2,6 +2,7 @@ package dcf
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"overd/internal/flow"
@@ -197,6 +198,59 @@ func TestUpdateFringesDeliversInterpolatedData(t *testing.T) {
 	}
 	if verified == 0 {
 		t.Fatal("no fringe deliveries verified")
+	}
+}
+
+// TestUpdateFringesZeroAlloc: every rank's values go out in its own batch
+// for the destination, and once two steps have sized the batches (and the
+// inboxes have held a message from every rank) a step's exchange allocates
+// nothing. One proc: parked goroutines take the runtime's per-P wait
+// records, which more procs pass between them, allocating as they go.
+func TestUpdateFringesZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nodes, steps, warm = 6, 6, 2
+	cfg, parts, blocks := testSystem(t, nodes)
+	perStep := make([]uint64, steps)
+	duties := make([]int, nodes)
+	var ms runtime.MemStats
+	par.NewWorld(nodes, machine.SP2()).Run(func(r *par.Rank) {
+		s := NewSolver(cfg, parts, r.ID)
+		s.Solve(r)
+		b := blocks[r.ID]
+		b.RefreshMasks()
+		stretchInboxes(r, 1)
+		for _, l := range s.sendList {
+			duties[r.ID] += len(l)
+		}
+		for n := 0; n < steps; n++ {
+			b.ExchangeHalo(r)
+			r.Barrier()
+			if r.ID == 0 {
+				runtime.ReadMemStats(&ms)
+				perStep[n] = ms.TotalAlloc
+			}
+			r.Barrier()
+			s.UpdateFringes(r, b)
+			r.Barrier()
+			if r.ID == 0 {
+				runtime.ReadMemStats(&ms)
+				perStep[n] = ms.TotalAlloc - perStep[n]
+			}
+			r.Barrier()
+		}
+	})
+	t.Logf("bytes allocated per exchange: %v", perStep)
+	owed := 0
+	for _, d := range duties {
+		owed += d
+	}
+	if owed == 0 {
+		t.Fatal("no rank owes fringe values: nothing was exchanged")
+	}
+	for n := warm; n < steps; n++ {
+		if perStep[n] != 0 {
+			t.Errorf("exchange %d allocated %d bytes over %d ranks, want 0", n, perStep[n], nodes)
+		}
 	}
 }
 

@@ -378,27 +378,27 @@ func TestLostBatchesReuseBuffers(t *testing.T) {
 }
 
 // TestSolveSteadyStateFootprint: once buffers have found their capacity a
-// warm solve allocates little, and the memo stays within four times the
+// warm solve allocates nothing, and the memo stays within four times the
 // walks of a single solve although the set of fringe points of the grids
 // that do not move — the keys of the remembered walks — changes every
 // solve.
 func TestSolveSteadyStateFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const nodes, nSolves = 12, 9
-	// What is left is the AllGather of the bounds: 12 boxed boxes of 48
-	// bytes and 12 result slices of 192, 2 880 bytes. Solves 5-8 allocated
-	// 7 to 30 KB while batches travelled in arena envelopes.
-	const ceiling = 6 << 10
+	// Nothing is left to allocate: the bounds are gathered as floats into
+	// the world's scratch, and every batch is a buffer of its sender's.
+	const ceiling = 0
 
 	cfg := fourGridSystem()
 	parts := planParts(t, cfg.Sys, nodes)
 	var ms runtime.MemStats
-	var perSolve []uint64
+	perSolve := make([]uint64, nSolves) // sized up front: growing it would count
 	walks := make([][]int, nodes)
 	tableLen := make([][]int, nodes)
 	fringe := make([][]map[overset.IGBP]bool, nodes)
 	par.NewWorld(nodes, machine.SP2()).Run(func(r *par.Rank) {
 		s := NewSolver(cfg, parts, r.ID)
+		stretchInboxes(r, 3)
 		for n := 0; n < nSolves; n++ {
 			if r.ID == 0 {
 				// The airfoil swings: every solve differs from the one
@@ -406,7 +406,7 @@ func TestSolveSteadyStateFootprint(t *testing.T) {
 				xf, _ := fourGridMotion(0, []int{0, 1, 2, 1}[n%4])
 				cfg.Sys.Grids[0].ApplyTransform(xf)
 				runtime.ReadMemStats(&ms)
-				perSolve = append(perSolve, ms.TotalAlloc)
+				perSolve[n] = ms.TotalAlloc
 			}
 			r.Barrier()
 			s.Solve(r)
@@ -461,6 +461,28 @@ func TestSolveSteadyStateFootprint(t *testing.T) {
 			t.Errorf("solve %d: the unmoved grids kept their fringe points of solve %d", n, n-1)
 		}
 	}
+}
+
+// stretchInboxes has every rank hold perPeer messages from every other rank
+// at once, first in its inbox and then in its list of delivered messages
+// not yet matched. A round of the donor search has at most three in flight
+// from each rank (requests, forwards, a reply), but how many of them are
+// queued together is the host scheduler's choice, and without this the
+// lists would reach their size in whichever solve it first chose the most.
+func stretchInboxes(r *par.Rank, perPeer int) {
+	const tag = par.TagUser + 9
+	for to := 0; to < r.Size(); to++ {
+		for i := 0; to != r.ID && i < perPeer; i++ {
+			r.Send(to, tag, nil, 0)
+		}
+	}
+	r.Barrier()
+	for {
+		if _, ok := r.TryRecv(par.AnyRank, tag); !ok {
+			break
+		}
+	}
+	r.Barrier()
 }
 
 func sameSet(a, b map[overset.IGBP]bool) bool {

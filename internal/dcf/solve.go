@@ -13,9 +13,6 @@ import (
 	"overd/internal/par"
 )
 
-// debugFwd, when set, observes every forwarded request (test hook).
-var debugFwd func(ptReq)
-
 // Stats summarizes one rank's view of a connectivity solve.
 type Stats struct {
 	// LocalIGBPs is the number of fringe points owned by this rank.
@@ -129,14 +126,17 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 
 	// Global bounding-box exchange ("broadcast globally at the beginning").
 	r.Compute(float64(box.Count()) * 2)
-	raw := r.AllGather(myBounds, 48)
-	if cap(s.rankBounds) < len(raw) {
-		s.rankBounds = make([]geom.Box, len(raw))
+	lo, hi := myBounds.Min, myBounds.Max
+	raw := r.AllGatherFloats([]float64{lo.X, lo.Y, lo.Z, hi.X, hi.Y, hi.Z})
+	nr := len(raw) / 6
+	if cap(s.rankBounds) < nr {
+		s.rankBounds = make([]geom.Box, nr)
 	}
-	rankBounds := s.rankBounds[:len(raw)]
-	for i, v := range raw {
+	rankBounds := s.rankBounds[:nr]
+	for i := range rankBounds {
+		v := raw[6*i : 6*i+6]
+		rb := geom.Box{Min: geom.Vec3{X: v[0], Y: v[1], Z: v[2]}, Max: geom.Vec3{X: v[3], Y: v[4], Z: v[5]}}
 		// Inflate so near-boundary donors are still routed to this rank.
-		rb := v.(geom.Box)
 		rankBounds[i] = rb.Inflate(0.02 * (1 + rb.Size().Norm()))
 	}
 
@@ -379,20 +379,6 @@ func sendReqBatch(r *par.Rank, dst int, batch *reqMsg) bool {
 // wherever other senders' messages landed in between.
 func bySender(a, b par.Msg) int { return cmp.Compare(a.From, b.From) }
 
-// sortedKeys returns the keys of any int-keyed map in ascending order.
-// Every send loop driven by a map MUST iterate via this helper (or an
-// equivalently ordered dense structure): Go map iteration order is
-// randomized, and an unsorted send loop would leak that randomness into
-// message timing, trace event order, and ultimately the virtual clocks.
-func sortedKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
-
 // hintFor returns the restart hint for an IGBP if available.
 func (s *Solver) hintFor(pt overset.IGBP) (restartHint, bool) {
 	if s.Cfg.DisableRestart {
@@ -517,9 +503,6 @@ func (s *Solver) serve(r *par.Rank, myGrid int, myBox grid.IBox, pt *ptReq) (rep
 		to := s.rankOfCell(pt.Grid, res.ExitCell)
 		if to >= 0 && to != s.Rank {
 			s.Forwards++
-			if debugFwd != nil {
-				debugFwd(*pt)
-			}
 			f := *pt
 			f.Start = res.ExitCell
 			f.Hops++

@@ -1,6 +1,8 @@
 package dcf
 
 import (
+	"slices"
+
 	"overd/internal/flow"
 	"overd/internal/par"
 )
@@ -12,6 +14,10 @@ import (
 // their previous data. Call after the halo exchange so donor-cell corners in
 // ghost layers are current. Time is charged to the flow phase, where the
 // paper accounts intergrid boundary-condition updates.
+//
+// Each destination's values go out in this rank's own batch for it (see
+// bufs), which the next call rewrites: callers must rendezvous between two
+// calls, so that every receiver has read what the last one sent.
 func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 	// Serve my send list: the dense per-rank buckets iterate destinations
 	// in ascending rank order, the deterministic order the old map-keyed
@@ -22,9 +28,11 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			continue
 		}
 		batches++
-		env := s.getVal()
-		ids := env.IDs[:0]
-		vals := env.Vals[:0]
+		// Room for every duty up front: which donors interpolate can change
+		// from step to step, and the batch must not grow when it does.
+		batch := &s.vals[dst]
+		ids := slices.Grow(batch.IDs[:0], len(entries))
+		vals := slices.Grow(batch.Vals[:0], 5*len(entries))
 		for _, e := range entries {
 			d := e.donor
 			q, ok := b.InterpolateCell(d.I, d.J, d.K, d.A, d.B, d.C)
@@ -35,11 +43,11 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			ids = append(ids, e.id)
 			vals = append(vals, q[:]...)
 		}
-		env.IDs, env.Vals = ids, vals
+		batch.IDs, batch.Vals = ids, vals
 		// Reliable under fault injection (plain Send otherwise); a batch
 		// lost beyond the retry budget arrives as a tombstone, which the
 		// receiver's RecvTimeout below turns into "keep previous data".
-		r.SendReliable(dst, par.TagUser+1, env, bytesPerValue*len(ids))
+		r.SendReliable(dst, par.TagUser+1, batch, bytesPerValue*len(ids))
 	}
 	r.Compute(float64(interp) * flopsPerInterp)
 
@@ -83,7 +91,6 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			copy(q[:], vm.Vals[5*n:5*n+5])
 			b.SetFringe(pt.I, pt.J, pt.K, q)
 		}
-		s.putVal(vm)
 	}
 	s.publishFringeMetrics(r, interp, batches)
 }

@@ -130,6 +130,9 @@ func (p *Plan) Validate() error {
 		if l.Tag < -1 {
 			return fmt.Errorf("fault: loss %d: invalid tag %d", i, l.Tag)
 		}
+		if l.From < -1 || l.To < -1 {
+			return fmt.Errorf("fault: loss %d: invalid endpoints %d->%d", i, l.From, l.To)
+		}
 	}
 	for i, c := range p.Crashes {
 		if c.Rank < 0 {

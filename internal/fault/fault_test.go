@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,6 +43,8 @@ func TestParsePlanRejectsBadInput(t *testing.T) {
 		"probability":   `{"losses": [{"tag": 1, "prob": 1.5}]}`,
 		"latency":       `{"links": [{"from": 0, "to": 1, "latency_factor": 0.2}]}`,
 		"crash step":    `{"crashes": [{"rank": 0, "step": -2}]}`,
+		"loss from":     `{"losses": [{"tag": 1, "from": -5, "to": 0, "prob": 0.5}]}`,
+		"loss to":       `{"losses": [{"tag": -1, "from": -1, "to": -2, "prob": 0.5}]}`,
 	} {
 		if _, err := ParsePlan([]byte(src)); err == nil {
 			t.Errorf("%s: bad plan accepted", name)
@@ -217,4 +221,28 @@ func TestHash01Range(t *testing.T) {
 			t.Fatalf("hash01 out of range: %v", v)
 		}
 	}
+}
+
+// FuzzParsePlan: whatever the bytes, ParsePlan returns a plan or an error and
+// never panics, and a plan it accepts marshals to bytes that parse again and
+// marshal to the same bytes.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("accepted plan does not marshal: %v", err)
+		}
+		back, err := ParsePlan(first)
+		if err != nil {
+			t.Fatalf("marshaled plan %s does not parse: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("plan changes across a round trip (%v):\n %s\n %s", err, first, second)
+		}
+	})
 }

@@ -172,17 +172,18 @@ func (mb *mailbox) put(m Msg) {
 	}
 }
 
+// takeLocked removes the oldest queued message. The queue restarts at the
+// front of buf the moment it empties, so buf never grows past the messages
+// that arrive while it is not empty, whatever the receiver does next.
 func (mb *mailbox) takeLocked() (Msg, bool) {
 	if mb.head == len(mb.buf) {
-		if mb.head != 0 {
-			mb.head = 0
-			mb.buf = mb.buf[:0]
-		}
 		return Msg{}, false
 	}
 	m := mb.buf[mb.head]
 	mb.buf[mb.head] = Msg{} // drop the payload reference for the GC
-	mb.head++
+	if mb.head++; mb.head == len(mb.buf) {
+		mb.head, mb.buf = 0, mb.buf[:0]
+	}
 	return m, true
 }
 
@@ -258,12 +259,13 @@ type World struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// collective scratch, guarded by the barrier's phases. collectF is the
-	// alloc-free fast path for float64 reductions (the common case); collect
-	// carries arbitrary boxed payloads for AllGather.
-	collectMu sync.Mutex
-	collect   []any
-	collectF  []float64
+	// Collective scratch, two of each, picked by the parity of a rank's
+	// collective count (see AllGather): anys holds AllGather's slots, floats
+	// the rank-major rows of AllGatherFloats and the reductions. floatMu
+	// guards the rows while the first rank of a wider gather grows them.
+	anys    [2][]any
+	floats  [2][]float64
+	floatMu sync.Mutex
 
 	// rec, when non-nil, receives one trace event per clock advance on
 	// every rank (see package trace). Nil tracing costs one pointer test
@@ -392,8 +394,7 @@ func NewWorld(n int, m machine.Model) *World {
 		w.inbox[i].cond.L = &w.inbox[i].mu
 	}
 	w.bar.init(n)
-	w.collect = make([]any, n)
-	w.collectF = make([]float64, n)
+	w.anys = [2][]any{make([]any, n), make([]any, n)}
 	return w
 }
 
@@ -582,6 +583,8 @@ type rankFields struct {
 	// sendSeq numbers this rank's sends: with the rank id it names a message
 	// (flowID), for trace flow edges and for the tape's receive ops.
 	sendSeq uint64
+	// colls counts this rank's collectives; its parity picks the scratch.
+	colls uint64
 }
 
 // emit records one trace event; callers must check r.tr != nil first so the
@@ -1105,21 +1108,49 @@ func (r *Rank) barrierCost() {
 // AllGather collects one value from every rank and returns the slice indexed
 // by rank; the cost is modeled as a log-depth tree of messages of the given
 // per-item byte size.
+//
+// The slice is the world's scratch, not a copy: read it, never write it, and
+// only until this rank's next collective. Collectives alternate between two
+// scratches, and every rank makes the same collectives in the same order, so
+// a rank writes this one again two collectives on, and none finishes the
+// collective in between before every rank has entered it.
 func (r *Rank) AllGather(x any, bytesPerItem int) []any {
-	w := r.w
-	w.collectMu.Lock()
-	w.collect[r.ID] = x
-	w.collectMu.Unlock()
+	all := r.w.anys[r.nextScratch()]
+	all[r.ID] = x
 	r.barrierSync()
-	out := make([]any, w.n)
-	w.collectMu.Lock()
-	copy(out, w.collect)
-	w.collectMu.Unlock()
-	// Second rendezvous so no rank overwrites w.collect for a subsequent
-	// collective before everyone has copied.
+	// The second rendezvous protects nothing the scratch parity does not;
+	// it stays because the tape and the barrier count record it.
 	r.barrierSync()
 	r.gatherCost(bytesPerItem)
-	return out
+	return all
+}
+
+// AllGatherFloats collects k = len(x) values from every rank, each rank
+// passing the same k, and returns them rank-major: rank i's at [i·k, i·k+k).
+// It allocates nothing once a gather of that width has run, and is timed as
+// AllGather(x, 8k). The slice has AllGather's lifetime.
+func (r *Rank) AllGatherFloats(x []float64) []float64 {
+	w, k := r.w, len(x)
+	p := r.nextScratch()
+	w.floatMu.Lock()
+	if len(w.floats[p]) < w.n*k {
+		// Only the first rank into a wider gather grows it: the rest find
+		// the new rows, and nothing was written to the old ones.
+		w.floats[p] = make([]float64, w.n*k)
+	}
+	all := w.floats[p][:w.n*k]
+	copy(all[r.ID*k:], x)
+	w.floatMu.Unlock()
+	r.barrierSync()
+	r.barrierSync()
+	r.gatherCost(8 * k)
+	return all
+}
+
+// nextScratch counts a collective and names the scratch it uses.
+func (r *Rank) nextScratch() int {
+	r.colls++
+	return int(r.colls & 1)
 }
 
 // gatherCost charges the modeled log-depth tree cost of one gather-style
@@ -1140,48 +1171,24 @@ func (r *Rank) gatherCost(bytesPerItem int) {
 	}
 }
 
-// gatherF runs the AllGather rendezvous protocol on the world's float64
-// scratch (no boxing, no per-call slice) and invokes fold on the collected
-// rank-indexed values while they are stable between the two rendezvous.
-// The modeled cost is identical to AllGather(x, 8).
-func (r *Rank) gatherF(x float64, fold func(vals []float64)) {
-	w := r.w
-	w.collectMu.Lock()
-	w.collectF[r.ID] = x
-	w.collectMu.Unlock()
-	r.barrierSync()
-	w.collectMu.Lock()
-	fold(w.collectF)
-	w.collectMu.Unlock()
-	// Second rendezvous so no rank overwrites w.collectF for a subsequent
-	// collective before everyone has folded.
-	r.barrierSync()
-	r.gatherCost(8)
-}
-
-// AllReduceSum sums a float64 across ranks without allocating.
+// AllReduceSum sums a float64 across ranks without allocating, in rank
+// order, timed as AllGather(x, 8).
 func (r *Rank) AllReduceSum(x float64) float64 {
 	var s float64
-	r.gatherF(x, func(vals []float64) {
-		// Rank-index order, matching the historical AllGather-based
-		// reduction bit for bit.
-		for _, v := range vals {
-			s += v
-		}
-	})
+	for _, v := range r.AllGatherFloats([]float64{x}) {
+		s += v
+	}
 	return s
 }
 
 // AllReduceMax maximizes a float64 across ranks without allocating.
 func (r *Rank) AllReduceMax(x float64) float64 {
 	m := x
-	r.gatherF(x, func(vals []float64) {
-		for _, v := range vals {
-			if v > m {
-				m = v
-			}
+	for _, v := range r.AllGatherFloats([]float64{x}) {
+		if v > m {
+			m = v
 		}
-	})
+	}
 	return m
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"overd/internal/grid"
 )
@@ -120,6 +121,11 @@ func writeXYZBinary(w io.Writer, grids []*grid.Grid) error {
 
 // ReadXYZ reads a multi-block grid file previously written by WriteXYZ,
 // returning fresh grids (body frame set to the stored world coordinates).
+// A header that no grid could have — a dimension below 1, more points than
+// maxPoints, a binary record whose length is not what its dimensions make —
+// is an error, found before anything is allocated for it; data is read into
+// slices that grow as it arrives, so a file shorter than its header claims
+// fails at its end.
 func ReadXYZ(r io.Reader, f Format) ([]*grid.Grid, error) {
 	switch f {
 	case ASCII:
@@ -130,50 +136,163 @@ func ReadXYZ(r io.Reader, f Format) ([]*grid.Grid, error) {
 	return nil, fmt.Errorf("plot3d: unknown format %d", f)
 }
 
-func readXYZASCII(r io.Reader) ([]*grid.Grid, error) {
-	br := bufio.NewReader(r)
-	var ng int
-	if _, err := fmt.Fscan(br, &ng); err != nil {
+// maxBlocks bounds a file's block count.
+const maxBlocks = 1 << 20
+
+// maxPoints bounds a block's point count: a Q block's data record, 40 bytes
+// a point, must fit the 4-byte record marks of the binary format, and the
+// ASCII format refuses what the binary one could not hold.
+const maxPoints = math.MaxUint32 / 40
+
+// blockDims is one block's dimensions and their point count.
+type blockDims struct{ ni, nj, nk, n int }
+
+// newBlockDims validates block b's dimensions: each at least 1, their product
+// at most maxPoints (checked as it is formed, so it never overflows).
+func newBlockDims(b, ni, nj, nk int) (blockDims, error) {
+	if ni < 1 || nj < 1 || nk < 1 {
+		return blockDims{}, fmt.Errorf("plot3d: block %d: invalid dimensions %dx%dx%d", b, ni, nj, nk)
+	}
+	n := 1
+	for _, d := range [3]int{ni, nj, nk} {
+		if d > maxPoints/n {
+			return blockDims{}, fmt.Errorf("plot3d: block %d: %dx%dx%d points, more than %d", b, ni, nj, nk, maxPoints)
+		}
+		n *= d
+	}
+	return blockDims{ni, nj, nk, n}, nil
+}
+
+// headerASCII reads the block count and every block's dimensions.
+func headerASCII(r io.Reader) ([]blockDims, error) {
+	var nb int
+	if _, err := fmt.Fscan(r, &nb); err != nil {
 		return nil, fmt.Errorf("plot3d: block count: %w", err)
 	}
-	if ng <= 0 || ng > 1<<20 {
-		return nil, fmt.Errorf("plot3d: implausible block count %d", ng)
+	if nb <= 0 || nb > maxBlocks {
+		return nil, fmt.Errorf("plot3d: implausible block count %d", nb)
 	}
-	dims := make([][3]int, ng)
-	for b := range dims {
-		if _, err := fmt.Fscan(br, &dims[b][0], &dims[b][1], &dims[b][2]); err != nil {
+	dims := make([]blockDims, 0, min(nb, 64))
+	for b := 0; b < nb; b++ {
+		var ni, nj, nk int
+		if _, err := fmt.Fscan(r, &ni, &nj, &nk); err != nil {
 			return nil, fmt.Errorf("plot3d: dims of block %d: %w", b, err)
 		}
+		d, err := newBlockDims(b, ni, nj, nk)
+		if err != nil {
+			return nil, err
+		}
+		dims = append(dims, d)
 	}
-	grids := make([]*grid.Grid, ng)
-	for b := range grids {
-		g := grid.New(b, fmt.Sprintf("block-%d", b), dims[b][0], dims[b][1], dims[b][2])
-		for _, arr := range [][]float64{g.X, g.Y, g.Z} {
-			for i := range arr {
-				if _, err := fmt.Fscan(br, &arr[i]); err != nil {
-					return nil, fmt.Errorf("plot3d: coordinates of block %d: %w", b, err)
-				}
-			}
+	return dims, nil
+}
+
+// headerBinary reads the block-count record and the dimensions record.
+func headerBinary(r io.Reader) ([]blockDims, error) {
+	var nb int32
+	if err := readRecord(r, 4, func(r io.Reader) error {
+		return binary.Read(r, binary.BigEndian, &nb)
+	}); err != nil {
+		return nil, err
+	}
+	if nb <= 0 || nb > maxBlocks {
+		return nil, fmt.Errorf("plot3d: implausible block count %d", nb)
+	}
+	var raw []int32
+	if err := readRecord(r, 12*int64(nb), func(r io.Reader) (err error) {
+		raw, err = readValues[int32](r, 3*int(nb))
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	dims := make([]blockDims, nb)
+	for b := range dims {
+		d, err := newBlockDims(b, int(raw[3*b]), int(raw[3*b+1]), int(raw[3*b+2]))
+		if err != nil {
+			return nil, err
 		}
-		copy(g.X0, g.X)
-		copy(g.Y0, g.Y)
-		copy(g.Z0, g.Z)
-		for i := range g.IBlank {
-			var v int
-			if _, err := fmt.Fscan(br, &v); err != nil {
-				return nil, fmt.Errorf("plot3d: iblank of block %d: %w", b, err)
-			}
-			g.IBlank[i] = int8(v)
+		dims[b] = d
+	}
+	return dims, nil
+}
+
+// valueChunk is how many values the readers allocate room for ahead of the
+// data.
+const valueChunk = 4096
+
+// scanValues reads n whitespace-separated values.
+func scanValues[T float64 | int32](r io.Reader, n int) ([]T, error) {
+	out := make([]T, 0, min(n, valueChunk))
+	for len(out) < n {
+		var v T
+		if _, err := fmt.Fscan(r, &v); err != nil {
+			return nil, err
 		}
-		grids[b] = g
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// readValues reads n big-endian values, a chunk at a time.
+func readValues[T float64 | int32](r io.Reader, n int) ([]T, error) {
+	out := make([]T, 0, min(n, valueChunk))
+	for len(out) < n {
+		m := min(n-len(out), valueChunk)
+		out = append(out, make([]T, m)...)
+		if err := binary.Read(r, binary.BigEndian, out[len(out)-m:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// newGrid builds block b from its coordinates (all x, then y, then z) and
+// iblank.
+func newGrid(b int, d blockDims, xyz []float64, ib []int32) *grid.Grid {
+	g := grid.New(b, fmt.Sprintf("block-%d", b), d.ni, d.nj, d.nk)
+	n := d.n
+	copy(g.X, xyz[:n])
+	copy(g.Y, xyz[n:2*n])
+	copy(g.Z, xyz[2*n:])
+	copy(g.X0, g.X)
+	copy(g.Y0, g.Y)
+	copy(g.Z0, g.Z)
+	for i, v := range ib {
+		g.IBlank[i] = int8(v)
+	}
+	return g
+}
+
+func readXYZASCII(r io.Reader) ([]*grid.Grid, error) {
+	br := bufio.NewReader(r)
+	dims, err := headerASCII(br)
+	if err != nil {
+		return nil, err
+	}
+	grids := make([]*grid.Grid, len(dims))
+	for b, d := range dims {
+		xyz, err := scanValues[float64](br, 3*d.n)
+		if err != nil {
+			return nil, fmt.Errorf("plot3d: coordinates of block %d: %w", b, err)
+		}
+		ib, err := scanValues[int32](br, d.n)
+		if err != nil {
+			return nil, fmt.Errorf("plot3d: iblank of block %d: %w", b, err)
+		}
+		grids[b] = newGrid(b, d, xyz, ib)
 	}
 	return grids, nil
 }
 
-func readRecord(r io.Reader, payload func(io.Reader) error) error {
+// readRecord reads one Fortran unformatted record, refusing it unless its
+// leading mark says size bytes.
+func readRecord(r io.Reader, size int64, payload func(io.Reader) error) error {
 	var lead uint32
 	if err := binary.Read(r, binary.BigEndian, &lead); err != nil {
 		return err
+	}
+	if int64(lead) != size {
+		return fmt.Errorf("plot3d: record of %d bytes, want %d", lead, size)
 	}
 	if err := payload(io.LimitReader(r, int64(lead))); err != nil {
 		return err
@@ -190,46 +309,24 @@ func readRecord(r io.Reader, payload func(io.Reader) error) error {
 
 func readXYZBinary(r io.Reader) ([]*grid.Grid, error) {
 	br := bufio.NewReader(r)
-	var ng int32
-	if err := readRecord(br, func(r io.Reader) error {
-		return binary.Read(r, binary.BigEndian, &ng)
-	}); err != nil {
+	dims, err := headerBinary(br)
+	if err != nil {
 		return nil, err
 	}
-	if ng <= 0 || ng > 1<<20 {
-		return nil, fmt.Errorf("plot3d: implausible block count %d", ng)
-	}
-	dims := make([][3]int32, ng)
-	if err := readRecord(br, func(r io.Reader) error {
-		return binary.Read(r, binary.BigEndian, &dims)
-	}); err != nil {
-		return nil, err
-	}
-	grids := make([]*grid.Grid, ng)
-	for b := range grids {
-		g := grid.New(b, fmt.Sprintf("block-%d", b),
-			int(dims[b][0]), int(dims[b][1]), int(dims[b][2]))
-		if err := readRecord(br, func(r io.Reader) error {
-			for _, arr := range [][]float64{g.X, g.Y, g.Z} {
-				if err := binary.Read(r, binary.BigEndian, arr); err != nil {
-					return err
-				}
-			}
-			ib := make([]int32, g.NPoints())
-			if err := binary.Read(r, binary.BigEndian, ib); err != nil {
+	grids := make([]*grid.Grid, len(dims))
+	for b, d := range dims {
+		var xyz []float64
+		var ib []int32
+		if err := readRecord(br, 28*int64(d.n), func(r io.Reader) (err error) {
+			if xyz, err = readValues[float64](r, 3*d.n); err != nil {
 				return err
 			}
-			for i, v := range ib {
-				g.IBlank[i] = int8(v)
-			}
-			return nil
+			ib, err = readValues[int32](r, d.n)
+			return err
 		}); err != nil {
 			return nil, fmt.Errorf("plot3d: block %d: %w", b, err)
 		}
-		copy(g.X0, g.X)
-		copy(g.Y0, g.Y)
-		copy(g.Z0, g.Z)
-		grids[b] = g
+		grids[b] = newGrid(b, d, xyz, ib)
 	}
 	return grids, nil
 }
@@ -327,7 +424,8 @@ func writeQBinary(w io.Writer, blocks []*QBlock) error {
 	return bw.Flush()
 }
 
-// ReadQ reads a multi-block PLOT3D solution file.
+// ReadQ reads a multi-block PLOT3D solution file, refusing a header as
+// ReadXYZ does.
 func ReadQ(r io.Reader, f Format) ([]*QBlock, error) {
 	switch f {
 	case ASCII:
@@ -338,80 +436,60 @@ func ReadQ(r io.Reader, f Format) ([]*QBlock, error) {
 	return nil, fmt.Errorf("plot3d: unknown format %d", f)
 }
 
+// newQ builds a Q block from its header words and its values (all of the
+// first component, then the second, ...).
+func newQ(d blockDims, hdr [4]float64, q []float64) *QBlock {
+	qb := NewQBlock(d.ni, d.nj, d.nk)
+	qb.Mach, qb.Alpha, qb.Re, qb.Time = hdr[0], hdr[1], hdr[2], hdr[3]
+	for c := range qb.Q {
+		copy(qb.Q[c], q[c*d.n:])
+	}
+	return qb
+}
+
 func readQASCII(r io.Reader) ([]*QBlock, error) {
 	br := bufio.NewReader(r)
-	var nb int
-	if _, err := fmt.Fscan(br, &nb); err != nil {
+	dims, err := headerASCII(br)
+	if err != nil {
 		return nil, err
 	}
-	if nb <= 0 || nb > 1<<20 {
-		return nil, fmt.Errorf("plot3d: implausible block count %d", nb)
-	}
-	dims := make([][3]int, nb)
-	for b := range dims {
-		if _, err := fmt.Fscan(br, &dims[b][0], &dims[b][1], &dims[b][2]); err != nil {
-			return nil, err
+	out := make([]*QBlock, len(dims))
+	for b, d := range dims {
+		var hdr [4]float64
+		if _, err := fmt.Fscan(br, &hdr[0], &hdr[1], &hdr[2], &hdr[3]); err != nil {
+			return nil, fmt.Errorf("plot3d: header of block %d: %w", b, err)
 		}
-	}
-	out := make([]*QBlock, nb)
-	for b := range out {
-		qb := NewQBlock(dims[b][0], dims[b][1], dims[b][2])
-		if _, err := fmt.Fscan(br, &qb.Mach, &qb.Alpha, &qb.Re, &qb.Time); err != nil {
-			return nil, err
+		q, err := scanValues[float64](br, 5*d.n)
+		if err != nil {
+			return nil, fmt.Errorf("plot3d: solution of block %d: %w", b, err)
 		}
-		for c := 0; c < 5; c++ {
-			for i := range qb.Q[c] {
-				if _, err := fmt.Fscan(br, &qb.Q[c][i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		out[b] = qb
+		out[b] = newQ(d, hdr, q)
 	}
 	return out, nil
 }
 
 func readQBinary(r io.Reader) ([]*QBlock, error) {
 	br := bufio.NewReader(r)
-	var nb int32
-	if err := readRecord(br, func(r io.Reader) error {
-		return binary.Read(r, binary.BigEndian, &nb)
-	}); err != nil {
+	dims, err := headerBinary(br)
+	if err != nil {
 		return nil, err
 	}
-	if nb <= 0 || nb > 1<<20 {
-		return nil, fmt.Errorf("plot3d: implausible block count %d", nb)
-	}
-	dims := make([][3]int32, nb)
-	if err := readRecord(br, func(r io.Reader) error {
-		return binary.Read(r, binary.BigEndian, &dims)
-	}); err != nil {
-		return nil, err
-	}
-	out := make([]*QBlock, nb)
-	for b := range out {
-		qb := NewQBlock(int(dims[b][0]), int(dims[b][1]), int(dims[b][2]))
-		if err := readRecord(br, func(r io.Reader) error {
-			var hdr [4]float64
-			if err := binary.Read(r, binary.BigEndian, &hdr); err != nil {
-				return err
-			}
-			qb.Mach, qb.Alpha, qb.Re, qb.Time = hdr[0], hdr[1], hdr[2], hdr[3]
-			return nil
+	out := make([]*QBlock, len(dims))
+	for b, d := range dims {
+		var hdr [4]float64
+		if err := readRecord(br, 32, func(r io.Reader) error {
+			return binary.Read(r, binary.BigEndian, &hdr)
 		}); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("plot3d: block %d: %w", b, err)
 		}
-		if err := readRecord(br, func(r io.Reader) error {
-			for c := 0; c < 5; c++ {
-				if err := binary.Read(r, binary.BigEndian, qb.Q[c]); err != nil {
-					return err
-				}
-			}
-			return nil
+		var q []float64
+		if err := readRecord(br, 40*int64(d.n), func(r io.Reader) (err error) {
+			q, err = readValues[float64](r, 5*d.n)
+			return err
 		}); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("plot3d: block %d: %w", b, err)
 		}
-		out[b] = qb
+		out[b] = newQ(d, hdr, q)
 	}
 	return out, nil
 }
